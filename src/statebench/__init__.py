@@ -12,7 +12,7 @@ statically before anything runs.
 
 from . import engine, linter, model, parser, scenario, trace
 from .engine import run
-from .explorer import ExploreBounds, TraceSet, check, diff, explore
+from .explorer import ExploreBounds, TraceSet, check, explore
 from .linter import lint
 from .parser import (
     ParseFailure,
@@ -34,7 +34,6 @@ __all__ = [
     "ScenarioResult",
     "TraceSet",
     "check",
-    "diff",
     "engine",
     "explore",
     "lint",

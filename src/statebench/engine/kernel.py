@@ -89,7 +89,6 @@ class ModelIndex:
     completion_of: dict[Path, TransitionId] = field(default_factory=dict)
     defer_of: dict[Path, frozenset[str]] = field(default_factory=dict)
     root_regions: tuple[Path, ...] = ()
-    pool_fifo: bool = True
 
     def program(self, name: str) -> Program:
         return self.programs[name]
@@ -435,29 +434,6 @@ def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tupl
     return tuple(options)
 
 
-def match_accepters(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tuple[tuple, ...]:
-    """Pure query: what would dispatching `occ` offer right now?"""
-    return analyze_dispatch(ctx, st, occ)
-
-
-def defer_decision(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[bool, str]:
-    """Would `signal` be deferred if dispatched now (and why)?"""
-    occ = SignalOccurrence(signal, -1)
-    options = analyze_dispatch(ctx, st, occ)
-    if options == (("defer",),):
-        states = [dotted(p) for p, _ in st.active if signal in ctx.defer_of.get(p, ())]
-        return True, f"deferred by {', '.join(states)}"
-    if any(opt[0] == "do" for opt in options) and any(
-        signal in ctx.defer_of.get(p, ()) for p, _ in st.active
-    ):
-        return False, "doActivity accepter outranks deferral"
-    if any(opt[0] == "sm" for opt in options) and any(
-        signal in ctx.defer_of.get(p, ()) for p, _ in st.active
-    ):
-        return False, "an enabled transition overrides the deferral"
-    return False, "no active state defers it"
-
-
 # --- completion detection -----------------------------------------------
 
 
@@ -683,27 +659,17 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
             )
 
     if not st.rtc_active() and not st.completion_pending():
-        if st.queue_completion:
-            occ = st.queue_completion[0]
+        # the completion pool goes first; either pool dispatches its oldest
+        pool = st.queue_completion or st.queue_regular
+        if pool:
             steps.append(
                 MicroStep(
                     StepKind.DISPATCH,
                     "sm",
-                    _payload(("occ", occ.brief())),
+                    _payload(("occ", pool[0].brief())),
                     sort=sort_group("sm"),
                 )
             )
-        elif st.queue_regular:
-            candidates = st.queue_regular[:1] if ctx.pool_fifo else st.queue_regular
-            for occ in candidates:
-                steps.append(
-                    MicroStep(
-                        StepKind.DISPATCH,
-                        "sm",
-                        _payload(("occ", occ.brief())),
-                        sort=sort_group("sm"),
-                    )
-                )
 
     return sorted(steps, key=lambda s: (s.sort, s.key()))
 

@@ -8,6 +8,26 @@ of possible continuations, so the tree collapses into a DAG. Pruning is
 therefore lossless: path counts and observable classes are computed exactly
 by dynamic programming over the DAG, never by sampling.
 
+Every query runs on three generic pieces, all iterative, so no depth of the
+DAG can exhaust the interpreter's stack:
+
+- the builder, `explore`: a depth-first walk on an explicit stack that
+  numbers nodes in preorder and lists them children-before-parents in
+  `TraceSet.order` as they finish;
+- `TraceSet._count(monitor)`: the exact number of complete traces a monitor
+  accepts, one pass over the product of the DAG and the monitor's states;
+- `TraceSet._accepted(monitor)`: the complete record paths a monitor
+  accepts, in canonical edge order (each node's edges in the order the
+  kernel enabled them). A (node, state) pair that led to no accepted path is
+  never entered again.
+
+A monitor is a triple `(start, step, accept)`: the state at the root,
+`step(state, edge)` giving the state after a followed edge (None rejects the
+edge and every path through it), and `accept(state)`, judged at a terminal
+node. Expectations, the discard count and class witnesses are monitors, and
+a witness or counterexample is always the first accepted path in canonical
+edge order.
+
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
 The normalized view projects each trace onto its root regions separately and
@@ -20,18 +40,17 @@ appear inside edge record lists but never fork the DAG.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
 from . import model as M
 from . import scenario as S
 from .engine import kernel as K
-from .engine.driver import advance_scenario
+from .engine.driver import advance_scenario, resolve_state
 from .engine.kernel import ModelIndex
 from .engine.state import RuntimeState, dotted
-from .trace import Record, Trace, first_divergence
+from .trace import Record, Trace
 
 
 @dataclass(frozen=True)
@@ -45,7 +64,7 @@ class ExploreBounds:
 class Edge:
     step_key: str
     records: tuple[Record, ...]    # the step's record plus any forced injections
-    child: Optional[int]           # None: cut by budget, pool bound, or a cycle
+    child: Optional[int]           # None: cut by a cycle
     obs: tuple[tuple[str, str], ...]
     has_discard: bool
 
@@ -54,7 +73,6 @@ class Edge:
 class Node:
     nid: int
     configs: frozenset[str]        # dotted active paths, for state queries
-    stable: bool
     edges: tuple[Edge, ...] = ()
     terminal: bool = False         # no enabled steps, scenario finished
     deadlock: bool = False         # no enabled steps, scenario NOT finished
@@ -83,6 +101,29 @@ class ExpectationVerdict:
         return self.verdict == "all"
 
 
+if TYPE_CHECKING:  # at run time typing's cache would keep every imported Edge alive
+    Monitor = tuple[Any, Callable[[Any, Edge], Any], Callable[[Any], bool]]  # start, step, accept
+
+_EVERY: Monitor = (True, lambda s, e: s, lambda s: True)
+
+
+def _flag_monitor(start: bool, hit: Callable[[Edge], bool], want: bool) -> Monitor:
+    """Whether `hit` held at the start or on some followed edge; accepts the
+    paths where that equals `want`."""
+    return start, (lambda s, e: s or hit(e)), (lambda s: s == want)
+
+
+def _obs_monitor(seq: tuple[tuple[str, str], ...]) -> Monitor:
+    """How much of the observable sequence `seq` the path has emitted;
+    accepts the paths that emit exactly `seq`."""
+
+    def step(pos: int, e: Edge) -> Optional[int]:
+        end = pos + len(e.obs)
+        return end if seq[pos:end] == e.obs else None
+
+    return 0, step, lambda pos: pos == len(seq)
+
+
 class TraceSet:
     """The result of one exploration: a trace DAG plus the queries the rest
     of the toolchain needs (counts, classes, witnesses, expectation checks).
@@ -97,7 +138,7 @@ class TraceSet:
         scenario: Optional[S.Scenario],
         bounds: ExploreBounds,
         nodes: list[Node],
-        root: int,
+        order: list[int],
         root_records: tuple[Record, ...],
         stats: ExploreStats,
         pruned: bool,
@@ -106,79 +147,104 @@ class TraceSet:
         self.scenario = scenario
         self.bounds = bounds
         self.nodes = nodes
-        self.root = root
+        self.order = order             # node ids, children before parents
+        self.root = 0                  # nodes are numbered in preorder
         self.root_records = root_records
         self.stats = stats
         self.pruned = pruned
-        self._counts: dict[int, int] = {}
-        self._suffixes: dict[int, dict[tuple, int]] = {}
+
+    # -- the two generic queries ---------------------------------------------
+
+    def _count(self, monitor: Monitor) -> int:
+        """Exact number of complete traces `monitor` accepts. Parents come
+        before children in reversed `order`, so each node's row of
+        (monitor state -> paths from the root) is whole when it is read."""
+        start, step, accept = monitor
+        rows: dict[int, dict[Any, int]] = {self.root: {start: 1}}
+        total = 0
+        for nid in reversed(self.order):
+            row = rows.pop(nid)  # the root's, or filled in by an edge into the node
+            node = self.nodes[nid]
+            if node.terminal:
+                total += sum(cnt for s, cnt in row.items() if accept(s))
+                continue
+            for e in node.edges:  # deadlocked and truncated nodes have none
+                if e.child is None:
+                    continue
+                below = rows.setdefault(e.child, {})
+                for s, cnt in row.items():
+                    s2 = step(s, e)
+                    if s2 is not None:
+                        below[s2] = below.get(s2, 0) + cnt
+        return total
+
+    def _accepted(self, monitor: Monitor) -> Iterator[tuple[Record, ...]]:
+        """Record paths of the complete traces `monitor` accepts, in
+        canonical edge order."""
+        start, step, accept = monitor
+        nodes = self.nodes
+        path = list(self.root_records)
+        if nodes[self.root].terminal:
+            if accept(start):
+                yield tuple(path)
+            return
+        dead: set[tuple[int, Any]] = set()
+        # frame: node id, monitor state, edge iterator, path length, yielded
+        stack = [[self.root, start, iter(nodes[self.root].edges), len(path), False]]
+        while stack:
+            frame = stack[-1]
+            _, s, edges, mark, _ = frame
+            for e in edges:
+                if e.child is None:
+                    continue
+                s2 = step(s, e)
+                if s2 is None or (e.child, s2) in dead:
+                    continue
+                del path[mark:]
+                path.extend(e.records)
+                if not nodes[e.child].terminal:
+                    stack.append([e.child, s2, iter(nodes[e.child].edges), len(path), False])
+                    break
+                if accept(s2):
+                    frame[4] = True
+                    yield tuple(path)
+            else:
+                stack.pop()
+                if not frame[4]:
+                    dead.add((frame[0], s))
+                elif stack:
+                    stack[-1][4] = True
+
+    def _first(self, monitor: Monitor) -> Optional[Trace]:
+        found = next(self._accepted(monitor), None)
+        return self._mk_trace(found) if found is not None else None
 
     # -- counting ----------------------------------------------------------
 
-    def _postorder(self, nid: int, computed) -> list[int]:
-        """Children-before-parents order below nid, skipping already computed
-        nodes. Iterative; big DAGs would blow the recursion limit."""
-        out: list[int] = []
-        scheduled: set[int] = set()
-        stack: list[tuple[int, bool]] = [(nid, False)]
-        while stack:
-            n, done = stack.pop()
-            if done:
-                out.append(n)
-                continue
-            if n in computed or n in scheduled:
-                continue
-            scheduled.add(n)
-            stack.append((n, True))
-            for e in self.nodes[n].edges:
-                if e.child is not None:
-                    stack.append((e.child, False))
-        return out
-
-    def _count(self, nid: int) -> int:
-        if nid in self._counts:
-            return self._counts[nid]
-        for n in self._postorder(nid, self._counts):
-            node = self.nodes[n]
-            if node.terminal:
-                self._counts[n] = 1
-            elif node.deadlock or node.truncated:
-                self._counts[n] = 0
-            else:
-                self._counts[n] = sum(
-                    self._counts[e.child] for e in node.edges if e.child is not None
-                )
-        return self._counts[nid]
-
-    @property
+    @cached_property
     def total(self) -> int:
-        return self._count(self.root)
+        return self._count(_EVERY)
 
     # -- observable classes --------------------------------------------------
 
-    def _suffix_map(self, nid: int) -> dict[tuple, int]:
-        """obs-sequence suffixes reachable from nid, with exact counts."""
-        if nid in self._suffixes:
-            return self._suffixes[nid]
-        for n in self._postorder(nid, self._suffixes):
-            node = self.nodes[n]
+    @cached_property
+    def partition(self) -> dict[tuple[tuple[str, str], ...], int]:
+        """Exact count of complete traces per observable class."""
+        suffixes: dict[int, dict[tuple, int]] = {}
+        for nid in self.order:
+            node = self.nodes[nid]
             if node.terminal:
-                self._suffixes[n] = {(): 1}
+                suffixes[nid] = {(): 1}
                 continue
             acc: dict[tuple, int] = {}
             for e in node.edges:
                 if e.child is None:
                     continue
-                for suffix, cnt in self._suffixes[e.child].items():
+                for suffix, cnt in suffixes[e.child].items():
                     key = e.obs + suffix
                     acc[key] = acc.get(key, 0) + cnt
-            self._suffixes[n] = acc
-        return self._suffixes[nid]
-
-    @cached_property
-    def partition(self) -> dict[tuple[tuple[str, str], ...], int]:
-        """Exact count of complete traces per observable class."""
-        return dict(sorted(self._suffix_map(self.root).items()))
+            suffixes[nid] = acc
+        return dict(sorted(suffixes[self.root].items()))
 
     def signal_partition(self) -> dict[tuple[str, ...], int]:
         """Classes keyed by signal sequence only (region dropped)."""
@@ -217,283 +283,73 @@ class TraceSet:
     @cached_property
     def traces(self) -> tuple[Trace, ...]:
         if not self.truncated_traces:
-            out: list[Trace] = []
-
-            def walk(nid: int, acc: list[Record]) -> None:
-                node = self.nodes[nid]
-                if node.terminal:
-                    out.append(self._mk_trace(tuple(acc)))
-                    return
-                for e in node.edges:
-                    if e.child is not None:
-                        walk(e.child, acc + list(e.records))
-
-            sys.setrecursionlimit(max(sys.getrecursionlimit(), self.bounds.max_micro_steps * 3 + 200))
-            walk(self.root, list(self.root_records))
-            return tuple(out)
-        witnesses = []
-        for seq in list(self.partition)[: self.bounds.max_traces]:
-            t = self._witness_obs(seq)
-            if t is not None:
-                witnesses.append(t)
-        return tuple(witnesses)
-
-    def _witness_obs(self, seq: tuple[tuple[str, str], ...]) -> Optional[Trace]:
-        """First complete trace (canonical edge order) with exactly this
-        observable sequence."""
-        dead: set[tuple[int, int]] = set()
-
-        def search(nid: int, pos: int, acc: list[Record]) -> Optional[tuple[Record, ...]]:
-            if (nid, pos) in dead:
-                return None
-            node = self.nodes[nid]
-            if node.terminal:
-                if pos == len(seq):
-                    return tuple(acc)
-                dead.add((nid, pos))
-                return None
-            for e in node.edges:
-                if e.child is None:
-                    continue
-                npos = pos
-                match = True
-                for ob in e.obs:
-                    if npos >= len(seq) or seq[npos] != ob:
-                        match = False
-                        break
-                    npos += 1
-                if not match:
-                    continue
-                got = search(e.child, npos, acc + list(e.records))
-                if got is not None:
-                    return got
-            dead.add((nid, pos))
-            return None
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.bounds.max_micro_steps * 3 + 200))
-        found = search(self.root, 0, list(self.root_records))
-        return self._mk_trace(found) if found is not None else None
+            return tuple(self._mk_trace(p) for p in self._accepted(_EVERY))
+        # every class has a complete trace, so each search finds one
+        seqs = list(self.partition)[: self.bounds.max_traces]
+        return tuple(self._first(_obs_monitor(seq)) for seq in seqs)
 
     def find_trace(self, signals: tuple[str, ...]) -> Optional[Trace]:
         """Witness whose env-send signal sequence equals `signals` exactly
         (emitting region ignored)."""
         for seq in self.partition:
             if tuple(sig for sig, _ in seq) == signals:
-                t = self._witness_obs(seq)
-                if t is not None:
-                    return t
+                return self._first(_obs_monitor(seq))
         return None
 
     # -- expectation checking ---------------------------------------------
 
     def check(self, expectation: S.Expectation) -> ExpectationVerdict:
-        if isinstance(expectation, S.Emits):
-            return self._check_emits(expectation)
-        if isinstance(expectation, S.EventuallyActive):
-            return self._check_eventually(expectation)
-        assert isinstance(expectation, S.NeverDiscards)
-        return self._check_never_discards(expectation)
+        """Judges `expectation` by the number of complete traces that meet
+        it. `monitor(True)` accepts those traces and `monitor(False)` the
+        others; the witness and the counterexample are their first paths."""
+        exp = expectation
+        if isinstance(exp, S.Emits):
+            hit = {seq: tuple(sig for sig, _ in seq) == exp.signals for seq in self.partition}
+            good = sum(cnt for seq, cnt in self.partition.items() if hit[seq])
+
+            def monitor(ok: bool) -> Monitor:  # the first observable class on that side
+                return _obs_monitor(next(seq for seq in hit if hit[seq] == ok))
+
+        elif isinstance(exp, S.EventuallyActive):
+            target = dotted(resolve_state(self.ctx, exp.state))
+            start = target in self.nodes[self.root].configs
+
+            def monitor(ok: bool) -> Monitor:
+                return _flag_monitor(start, lambda e: target in self.nodes[e.child].configs, ok)
+
+            good = self._count(monitor(True))
+        else:
+            assert isinstance(exp, S.NeverDiscards)
+            prefix = exp.signal + "#"
+
+            def discards(e: Edge) -> bool:
+                return any(
+                    r.kind == "DiscardEvent"
+                    and str(dict(r.payload).get("occ", "")).startswith(prefix)
+                    for r in e.records
+                )
+
+            def monitor(ok: bool) -> Monitor:
+                return _flag_monitor(False, discards, not ok)
+
+            good = self._count(monitor(True))
+        if good == 0:
+            verdict = "none"
+        elif good == self.total and not self.stats.truncated:
+            verdict = "all"
+        else:
+            verdict = "some"
+        witness = self._first(monitor(True)) if good else None
+        counter = self._first(monitor(False)) if good < self.total else None
+        return ExpectationVerdict(exp, verdict, witness, counter)
 
     def check_all(self) -> list[ExpectationVerdict]:
         if self.scenario is None:
             return []
         return [self.check(e) for e in self.scenario.expectations]
 
-    def _verdict(
-        self,
-        expectation: S.Expectation,
-        good: dict[tuple, int],
-        witness_key: Optional[tuple],
-        bad_key: Optional[tuple],
-    ) -> ExpectationVerdict:
-        total_good = sum(good.values())
-        if total_good == 0:
-            verdict = "none"
-        elif total_good == self.total and not self.stats.truncated:
-            verdict = "all"
-        else:
-            verdict = "some"
-        witness = self._witness_obs(witness_key) if witness_key is not None else None
-        counter = self._witness_obs(bad_key) if bad_key is not None else None
-        return ExpectationVerdict(expectation, verdict, witness, counter)
 
-    def _check_emits(self, exp: S.Emits) -> ExpectationVerdict:
-        good: dict[tuple, int] = {}
-        witness_key: Optional[tuple] = None
-        bad_key: Optional[tuple] = None
-        for seq, cnt in self.partition.items():
-            if tuple(sig for sig, _ in seq) == exp.signals:
-                good[seq] = cnt
-                if witness_key is None:
-                    witness_key = seq
-            elif bad_key is None:
-                bad_key = seq
-        return self._verdict(exp, good, witness_key, bad_key)
-
-    def _check_eventually(self, exp: S.EventuallyActive) -> ExpectationVerdict:
-        from .engine.driver import resolve_state
-
-        target = dotted(resolve_state(self.ctx, exp.state))
-        # count complete traces that pass through a node with target active
-        memo: dict[tuple[int, bool], int] = {}
-
-        def count_hit(nid: int, seen: bool) -> int:
-            seen = seen or target in self.nodes[nid].configs
-            key = (nid, seen)
-            if key in memo:
-                return memo[key]
-            node = self.nodes[nid]
-            if node.terminal:
-                memo[key] = 1 if seen else 0
-            elif node.deadlock or node.truncated:
-                memo[key] = 0
-            else:
-                memo[key] = sum(
-                    count_hit(e.child, seen) for e in node.edges if e.child is not None
-                )
-            return memo[key]
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.bounds.max_micro_steps * 3 + 200))
-        hits = count_hit(self.root, False)
-        if hits == 0:
-            verdict = "none"
-        elif hits == self.total and not self.stats.truncated:
-            verdict = "all"
-        else:
-            verdict = "some"
-        witness = self._find_by_predicate(lambda nid, flag: flag, target) if hits else None
-        counter = (
-            self._find_by_predicate(lambda nid, flag: not flag, target)
-            if hits < self.total
-            else None
-        )
-        return ExpectationVerdict(exp, verdict, witness, counter)
-
-    def _find_by_predicate(self, want, target: str) -> Optional[Trace]:
-        """Finds a complete trace judged by whether `target` was ever active."""
-        dead: set[tuple[int, bool]] = set()
-
-        def search(nid: int, flag: bool, acc: list[Record]) -> Optional[tuple[Record, ...]]:
-            flag = flag or target in self.nodes[nid].configs
-            if (nid, flag) in dead:
-                return None
-            node = self.nodes[nid]
-            if node.terminal:
-                if want(nid, flag):
-                    return tuple(acc)
-                dead.add((nid, flag))
-                return None
-            for e in node.edges:
-                if e.child is None:
-                    continue
-                got = search(e.child, flag, acc + list(e.records))
-                if got is not None:
-                    return got
-            dead.add((nid, flag))
-            return None
-
-        found = search(self.root, False, list(self.root_records))
-        return self._mk_trace(found) if found is not None else None
-
-    def _check_never_discards(self, exp: S.NeverDiscards) -> ExpectationVerdict:
-        prefix = exp.signal + "#"
-
-        def edge_discards(e: Edge) -> bool:
-            return any(
-                r.kind == "DiscardEvent" and str(dict(r.payload).get("occ", "")).startswith(prefix)
-                for r in e.records
-            )
-
-        memo: dict[int, int] = {}
-
-        def clean_count(nid: int) -> int:
-            if nid in memo:
-                return memo[nid]
-            node = self.nodes[nid]
-            if node.terminal:
-                memo[nid] = 1
-            elif node.deadlock or node.truncated:
-                memo[nid] = 0
-            else:
-                memo[nid] = sum(
-                    clean_count(e.child)
-                    for e in node.edges
-                    if e.child is not None and not edge_discards(e)
-                )
-            return memo[nid]
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.bounds.max_micro_steps * 3 + 200))
-        clean = clean_count(self.root)
-        if clean == 0:
-            verdict = "none"
-        elif clean == self.total and not self.stats.truncated:
-            verdict = "all"
-        else:
-            verdict = "some"
-
-        witness = counter = None
-        dead: set[int] = set()
-
-        def search_clean(nid: int, acc: list[Record]) -> Optional[tuple[Record, ...]]:
-            if nid in dead:
-                return None
-            node = self.nodes[nid]
-            if node.terminal:
-                return tuple(acc)
-            for e in node.edges:
-                if e.child is None or edge_discards(e):
-                    continue
-                got = search_clean(e.child, acc + list(e.records))
-                if got is not None:
-                    return got
-            dead.add(nid)
-            return None
-
-        if clean:
-            w = search_clean(self.root, list(self.root_records))
-            witness = self._mk_trace(w) if w else None
-        if clean < self.total:
-            counter = self._first_discarding_trace(edge_discards)
-        return ExpectationVerdict(exp, verdict, witness, counter)
-
-    def _any_completion(self, nid: int) -> Optional[tuple[Record, ...]]:
-        node = self.nodes[nid]
-        if node.terminal:
-            return ()
-        for e in node.edges:
-            if e.child is None:
-                continue
-            tail = self._any_completion(e.child)
-            if tail is not None:
-                return e.records + tail
-        return None
-
-    def _first_discarding_trace(self, edge_discards) -> Optional[Trace]:
-        dead: set[int] = set()
-
-        def search(nid: int, acc: list[Record]) -> Optional[tuple[Record, ...]]:
-            if nid in dead:
-                return None
-            node = self.nodes[nid]
-            for e in node.edges:
-                if e.child is None:
-                    continue
-                if edge_discards(e):
-                    tail = self._any_completion(e.child)
-                    if tail is not None:
-                        return tuple(acc) + e.records + tail
-                else:
-                    got = search(e.child, acc + list(e.records))
-                    if got is not None:
-                        return got
-            dead.add(nid)
-            return None
-
-        found = search(self.root, list(self.root_records))
-        return self._mk_trace(found) if found is not None else None
-
-
-# --- the walk ---------------------------------------------------------------
+# --- the builder -------------------------------------------------------------
 
 
 def explore(
@@ -510,119 +366,87 @@ def explore(
     ctx = source if isinstance(source, ModelIndex) else K.build_index(source)
     bnd = bounds or ExploreBounds()
     nodes: list[Node] = []
+    order: list[int] = []
     keymap: dict[tuple, int] = {}
     onstack: set[int] = set()
     stats = ExploreStats()
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), bnd.max_micro_steps * 3 + 400))
-
-    def new_node(st: RuntimeState, **flags) -> Node:
-        node = Node(
-            nid=len(nodes),
-            configs=frozenset(dotted(p) for p, _ in st.active),
-            stable=st.stable(),
-            **flags,
-        )
-        nodes.append(node)
-        stats.nodes += 1
-        return node
-
     scn_len = len(scenario.steps) if scenario else 0
+    # frames of the nodes being expanded: node, state, scenario index, depth,
+    # step iterator, edges so far, and the edge that reached the node
+    stack: list[tuple] = []
 
-    def visit(st: RuntimeState, idx: int, depth: int) -> Optional[int]:
-        """Returns the node id, or None for a cycle back into the current
-        path (treated as a cut branch)."""
+    def link(via: Optional[tuple], child: Optional[int]) -> None:
+        """Completes the edge `via` (edges list, step, records) to `child`,
+        None for a cycle back into the current path (a cut branch)."""
+        if via is None:
+            return
+        edges, step, recs = via
+        if child is None:
+            stats.truncated += 1
+        obs = tuple(r.obs for r in recs if r.obs is not None)
+        discard = any(r.kind == "DiscardEvent" for r in recs)
+        edges.append(Edge(step.key(), tuple(recs), child, obs, discard))
+        stats.edges += 1
+
+    def visit(st: RuntimeState, idx: int, depth: int, via: Optional[tuple]) -> None:
+        """Links (st, idx) through `via`; a new node with steps goes on the stack."""
         key = (st.key(), idx)
         if prune and key in keymap:
             nid = keymap[key]
-            if nid in onstack:
-                return None
-            return nid
-
-        if depth >= bnd.max_micro_steps:
-            node = new_node(st, truncated=True)
-            stats.truncated += 1
-            if prune:
-                keymap[key] = node.nid
-            return node.nid
+            link(via, None if nid in onstack else nid)
+            return
+        node = Node(nid=len(nodes), configs=frozenset(dotted(p) for p, _ in st.active))
+        nodes.append(node)
+        stats.nodes += 1
+        if prune:
+            keymap[key] = node.nid
         pool_load = (
             len(st.queue_regular) + len(st.queue_completion) + len(st.deferred) + len(st.in_flight)
         )
-        if pool_load > bnd.max_pool:
-            node = new_node(st, truncated=True)
+        if depth >= bnd.max_micro_steps or pool_load > bnd.max_pool:
+            node.truncated = True
             stats.truncated += 1
-            if prune:
-                keymap[key] = node.nid
-            return node.nid
-
-        steps = K.enabled_steps(ctx, st)
-        if not steps:
-            done = idx >= scn_len
-            node = new_node(st, terminal=done, deadlock=not done)
-            if not done:
-                stats.deadlocks += 1
-            if prune:
-                keymap[key] = node.nid
-            return node.nid
-
-        node = new_node(st)
-        if prune:
-            keymap[key] = node.nid
-        onstack.add(node.nid)
-        edges = []
-        for step in steps:
-            st2, rec = K.apply(ctx, st, step)
-            recs = [rec]
-            st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
-            child = visit(st3, idx2, depth + 1)
-            if child is None:
-                stats.truncated += 1
-            obs = tuple(r.obs for r in recs if r.obs is not None)
-            discard = any(r.kind == "DiscardEvent" for r in recs)
-            edges.append(Edge(step.key(), tuple(recs), child, obs, discard))
-            stats.edges += 1
-        node.edges = tuple(edges)
-        onstack.discard(node.nid)
-        return node.nid
+        elif steps := K.enabled_steps(ctx, st):
+            onstack.add(node.nid)
+            stack.append((node, st, idx, depth, iter(steps), [], via))
+            return
+        else:
+            node.terminal = idx >= scn_len
+            node.deadlock = not node.terminal
+            stats.deadlocks += node.deadlock
+        order.append(node.nid)
+        link(via, node.nid)
 
     boot_records: list[Record] = []
-    st0 = K.boot(ctx)
-    st0, idx0 = advance_scenario(ctx, st0, scenario, 0, boot_records)
-    root = visit(st0, idx0, 0)
-    assert root is not None
+    st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records)
+    visit(st0, idx0, 0, None)
+    while stack:
+        node, st, idx, depth, steps, edges, via = stack[-1]
+        step = next(steps, None)
+        if step is None:
+            stack.pop()
+            node.edges = tuple(edges)
+            onstack.discard(node.nid)
+            order.append(node.nid)
+            link(via, node.nid)
+            continue
+        st2, rec = K.apply(ctx, st, step)
+        recs = [rec]
+        st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
+        visit(st3, idx2, depth + 1, (edges, step, recs))
 
     result = TraceSet(
         ctx=ctx,
         scenario=scenario,
         bounds=bnd,
         nodes=nodes,
-        root=root,
+        order=order,
         root_records=tuple(boot_records),
         stats=stats,
         pruned=prune,
     )
     stats.complete = result.total
-    # traces with at least one discard, computed the same exact way as totals
-    memo: dict[tuple[int, bool], int] = {}
-
-    def with_discard(nid: int, tainted: bool) -> int:
-        key = (nid, tainted)
-        if key in memo:
-            return memo[key]
-        node = nodes[nid]
-        if node.terminal:
-            memo[key] = 1 if tainted else 0
-        elif node.deadlock or node.truncated:
-            memo[key] = 0
-        else:
-            memo[key] = sum(
-                with_discard(e.child, tainted or e.has_discard)
-                for e in node.edges
-                if e.child is not None
-            )
-        return memo[key]
-
-    stats.discard_traces = with_discard(root, False)
+    stats.discard_traces = result._count(_flag_monitor(False, lambda e: e.has_discard, True))
     return result
 
 
@@ -633,8 +457,3 @@ def check(
 ) -> list[ExpectationVerdict]:
     """Explore and judge every expectation of the scenario."""
     return explore(source, scenario, bounds).check_all()
-
-
-def diff(a: Trace, b: Trace) -> Optional[int]:
-    """Index of the first record where two traces diverge, None if equal."""
-    return first_divergence(a, b)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import statebench
 from conftest import fixture_path
 from statebench.cli import BUDGET, DEADLOCK, FAIL, OK, PARSE, main
 
@@ -185,6 +190,20 @@ def test_explore_truncation_exit(capsys):
     )
     assert code in (FAIL, BUDGET)  # tiny bound: verdicts degrade or pure budget
     assert code != OK
+
+
+def test_explore_deep_step_bound_exits_budget():
+    # a completion self-loop never ends, so the walk is 20,000 micro-steps
+    # deep; a subprocess keeps an interpreter crash out of this one
+    src = str(Path(statebench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "statebench.cli", "explore", fx("completion-self-loop.psm"),
+         fx("completion-self-loop.scn"), "--max-steps", "20000"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == BUDGET, proc.stderr
 
 
 def test_explore_no_prune(capsys):

@@ -7,12 +7,16 @@ pinned so any kernel change that shifts the schedule space fails loudly.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import machine, scenario_for
+from statebench.engine import ScriptStrategy, build_index, evaluate_run, run
 from statebench.explorer import ExploreBounds, check, explore
 from statebench.parser import parse_scenario
 from statebench.scenario import Emits, EventuallyActive, NeverDiscards
+from statebench.trace import Trace
 
 
 def explored(name, scn_name=None, **kw):
@@ -66,10 +70,54 @@ def test_partition_counts_sum_to_total():
 # --- pruning soundness ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["do-simple", "accept-race", "self-signal"])
-def test_pruned_and_unpruned_agree(name):
-    pruned = explored(name, prune=True)
-    full = explored(name, prune=False)
+def complete_paths(ts, nid, acc):
+    """Every complete trace of an unpruned tree in edge order, by brute force."""
+    node = ts.nodes[nid]
+    if node.terminal:
+        yield acc
+    for e in node.edges:
+        if e.child is not None:
+            yield from complete_paths(ts, e.child, acc + e.records)
+
+
+def verdict_json(v):
+    return (
+        v.verdict,
+        v.witness.to_json() if v.witness else None,
+        v.counterexample.to_json() if v.counterexample else None,
+    )
+
+
+@pytest.mark.parametrize("name,text,verdicts", [
+    pytest.param("do-simple", None, None, id="do-simple"),
+    pytest.param("accept-race", None, None, id="accept-race"),
+    pytest.param("self-signal", None, None, id="self-signal"),
+    # "some" runs both the witness and the counterexample search
+    pytest.param(
+        "accept-race",
+        "scenario s { inject e1; expect emits got; expect eventually-active S2; }",
+        ["some", "some"],
+        id="accept-race-emits-active",
+    ),
+    pytest.param(
+        "accept-race",
+        "scenario s { inject e1; inject e1; expect never-discards e1; }",
+        ["some"],
+        id="accept-race-discards",
+    ),
+    pytest.param(
+        "defer-release",
+        "scenario s { inject e1; inject e1; await-stable; inject e1; inject eLate;"
+        " expect never-discards e1; }",
+        ["none"],
+        id="defer-release-discards",
+    ),
+])
+def test_pruned_and_unpruned_agree(name, text, verdicts):
+    m = machine(name)
+    scn = parse_scenario(text, m).scenario if text else scenario_for(name, m)
+    pruned = explore(m, scn, prune=True)
+    full = explore(m, scn, prune=False)
     assert pruned.total == full.total
     assert pruned.partition == full.partition
     # sharing must actually happen for the DAG to be smaller
@@ -77,6 +125,37 @@ def test_pruned_and_unpruned_agree(name):
     assert sorted(t.obs_signals() for t in pruned.traces) == sorted(
         t.obs_signals() for t in full.traces
     )
+    assert pruned.stats.discard_traces == full.stats.discard_traces
+    got = pruned.check_all()
+    assert [verdict_json(v) for v in got] == [verdict_json(v) for v in full.check_all()]
+    if verdicts is not None:
+        assert [v.verdict for v in got] == verdicts
+
+    # each witness and counterexample is the first complete trace in edge
+    # order that a replay judges the same way; emits takes it from the first
+    # observable class on its side
+    paths = list(complete_paths(full, full.root, full.root_records))
+    assert len(paths) == full.total
+    ctx = build_index(m)
+    judged = [
+        evaluate_run(ctx, scn, run(ctx, scn, ScriptStrategy(Trace(p).script())))
+        for p in paths
+    ]
+    for i, v in enumerate(got):
+        good = sum(outcomes[i].ok for outcomes in judged)
+        if good == 0:
+            want = "none"
+        elif good == len(paths) and not full.stats.truncated:
+            want = "all"
+        else:
+            want = "some"
+        assert v.verdict == want
+        for ok, found in ((True, v.witness), (False, v.counterexample)):
+            side = [p for p, outcomes in zip(paths, judged) if outcomes[i].ok == ok]
+            if side and isinstance(v.expectation, Emits):
+                first = min(Trace(p).observables() for p in side)
+                side = [p for p in side if Trace(p).observables() == first]
+            assert (found.records if found else None) == (side[0] if side else None)
 
 
 # --- materialization and witnesses --------------------------------------------
@@ -218,3 +297,17 @@ def test_discard_trace_count():
     scn = parse_scenario("scenario s { inject progress; }", m).scenario
     ts = explore(m, scn)
     assert ts.stats.discard_traces == ts.total  # every schedule must discard it
+
+
+# --- depth --------------------------------------------------------------------
+
+
+def test_deep_walk_leaves_recursion_limit_alone():
+    # one micro-step per level: the walk, the counts and `traces` all go
+    # 3,000 steps deep
+    limit = sys.getrecursionlimit()
+    ts = explored("completion-self-loop", bounds=ExploreBounds(max_micro_steps=3000))
+    assert ts.check_all() == []
+    assert ts.traces == ()
+    assert (ts.total, ts.stats.nodes, ts.stats.truncated) == (0, 3001, 1)
+    assert sys.getrecursionlimit() == limit
