@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="enumerate all schedules")
     p.add_argument("model")
     p.add_argument("scenario")
-    p.add_argument("--max-traces", type=int, default=10000, help="witness cap per class")
+    p.add_argument(
+        "--max-traces", type=int, default=10000, help="cap on materialized traces, then on class witnesses"
+    )
     p.add_argument("--no-prune", action="store_true", help="disable state memoization")
     p.add_argument("--classes", action="store_true", help="list every signal class")
     p.add_argument("--format", choices=("text", "structured"), default="text")
@@ -336,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("scenario")
     p.add_argument("trace", help="trace JSON produced by run --trace-out")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_replay)
 

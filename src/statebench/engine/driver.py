@@ -184,10 +184,7 @@ def run(
             break
         if len(records) >= max_steps:
             raise BudgetExceeded(f"step budget {max_steps} exhausted", tuple(records))
-        if (
-            len(st.queue_regular) + len(st.queue_completion) + len(st.deferred) + len(st.in_flight)
-            > max_pool
-        ):
+        if st.pool_load() > max_pool:
             raise BudgetExceeded(f"pool bound {max_pool} exceeded", tuple(records))
         step = strat.choose(st, steps)
         st, rec = K.apply(ctx, st, step)

@@ -185,11 +185,9 @@ class RuntimeState:
                 return t
         raise KeyError(tid)
 
-    def get_var(self, name: str) -> int:
-        for n, v in self.vars:
-            if n == name:
-                return v
-        raise KeyError(name)
+    def pool_load(self) -> int:
+        """Combined occupancy of all pools: what `max_pool` bounds."""
+        return len(self.queue_regular) + len(self.queue_completion) + len(self.deferred) + len(self.in_flight)
 
     def config_paths(self) -> tuple[Path, ...]:
         return tuple(p for p, _ in self.active)

@@ -14,8 +14,9 @@ DAG can exhaust the interpreter's stack:
 - the builder, `explore`: a depth-first walk on an explicit stack that
   numbers nodes in preorder and lists them children-before-parents in
   `TraceSet.order` as they finish;
-- `TraceSet._count(monitor)`: the exact number of complete traces a monitor
-  accepts, one pass over the product of the DAG and the monitor's states;
+- `TraceSet._fold(start, step)`: the exact number of complete traces that
+  end in each monitor state, one forward pass over the product of the DAG
+  and the monitor's states that frees each node's row once it is read;
 - `TraceSet._accepted(monitor)`: the complete record paths a monitor
   accepts, in canonical edge order (each node's edges in the order the
   kernel enabled them). A (node, state) pair that led to no accepted path is
@@ -24,9 +25,13 @@ DAG can exhaust the interpreter's stack:
 A monitor is a triple `(start, step, accept)`: the state at the root,
 `step(state, edge)` giving the state after a followed edge (None rejects the
 edge and every path through it), and `accept(state)`, judged at a terminal
-node. Expectations, the discard count and class witnesses are monitors, and
-a witness or counterexample is always the first accepted path in canonical
-edge order.
+node. `_count(monitor)` sums the fold over the accepted states. Expectations,
+the discard count and class witnesses are monitors, and a witness or
+counterexample is always the first accepted path in canonical edge order.
+`partition` is a fold too: its monitor state is the id of a node in the trie
+of observable prefixes. DAG nodes hold no runtime state, so
+`eventually-active S` is judged from the records: S becomes active exactly
+on an `EnterState` record whose `state` is S's dotted path.
 
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
@@ -62,28 +67,21 @@ class ExploreBounds:
 
 @dataclass(frozen=True)
 class Edge:
-    step_key: str
     records: tuple[Record, ...]    # the step's record plus any forced injections
     child: Optional[int]           # None: cut by a cycle
     obs: tuple[tuple[str, str], ...]
-    has_discard: bool
 
 
 @dataclass
 class Node:
-    nid: int
-    configs: frozenset[str]        # dotted active paths, for state queries
-    edges: tuple[Edge, ...] = ()
+    edges: tuple[Edge, ...] = ()   # none at leaves: terminal, deadlocked, truncated
     terminal: bool = False         # no enabled steps, scenario finished
-    deadlock: bool = False         # no enabled steps, scenario NOT finished
-    truncated: bool = False        # cut before expansion
 
 
 @dataclass
 class ExploreStats:
     nodes: int = 0
     edges: int = 0
-    complete: int = 0              # exact count of complete traces
     deadlocks: int = 0
     truncated: int = 0             # branches cut by bounds or cycles
     discard_traces: int = 0        # complete traces containing a DiscardEvent
@@ -107,10 +105,10 @@ if TYPE_CHECKING:  # at run time typing's cache would keep every imported Edge a
 _EVERY: Monitor = (True, lambda s, e: s, lambda s: True)
 
 
-def _flag_monitor(start: bool, hit: Callable[[Edge], bool], want: bool) -> Monitor:
-    """Whether `hit` held at the start or on some followed edge; accepts the
-    paths where that equals `want`."""
-    return start, (lambda s, e: s or hit(e)), (lambda s: s == want)
+def _flag_monitor(hit: Callable[[Edge], bool], want: bool) -> Monitor:
+    """Whether `hit` held on some followed edge; accepts the paths where that
+    equals `want`."""
+    return False, (lambda s, e: s or hit(e)), (lambda s: s == want)
 
 
 def _obs_monitor(seq: tuple[tuple[str, str], ...]) -> Monitor:
@@ -122,6 +120,19 @@ def _obs_monitor(seq: tuple[tuple[str, str], ...]) -> Monitor:
         return end if seq[pos:end] == e.obs else None
 
     return 0, step, lambda pos: pos == len(seq)
+
+
+def _discards(e: Edge, prefix: str = "") -> bool:
+    """Whether the edge discards an occurrence whose brief starts with `prefix`."""
+    return any(
+        r.kind == "DiscardEvent" and str(dict(r.payload).get("occ", "")).startswith(prefix)
+        for r in e.records
+    )
+
+
+def _enters(e: Edge, state: str) -> bool:
+    """Whether the edge makes the state with dotted path `state` active."""
+    return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in e.records)
 
 
 class TraceSet:
@@ -141,7 +152,6 @@ class TraceSet:
         order: list[int],
         root_records: tuple[Record, ...],
         stats: ExploreStats,
-        pruned: bool,
     ):
         self.ctx = ctx
         self.scenario = scenario
@@ -151,22 +161,21 @@ class TraceSet:
         self.root = 0                  # nodes are numbered in preorder
         self.root_records = root_records
         self.stats = stats
-        self.pruned = pruned
 
-    # -- the two generic queries ---------------------------------------------
+    # -- the generic queries -------------------------------------------------
 
-    def _count(self, monitor: Monitor) -> int:
-        """Exact number of complete traces `monitor` accepts. Parents come
-        before children in reversed `order`, so each node's row of
-        (monitor state -> paths from the root) is whole when it is read."""
-        start, step, accept = monitor
+    def _fold(self, start: Any, step: Callable[[Any, Edge], Any]) -> dict[Any, int]:
+        """Exact number of complete traces that end in each monitor state.
+        Parents come before children in reversed `order`, so each node's row
+        of (monitor state -> paths from the root) is whole when it is read."""
         rows: dict[int, dict[Any, int]] = {self.root: {start: 1}}
-        total = 0
+        ends: dict[Any, int] = {}
         for nid in reversed(self.order):
             row = rows.pop(nid)  # the root's, or filled in by an edge into the node
             node = self.nodes[nid]
             if node.terminal:
-                total += sum(cnt for s, cnt in row.items() if accept(s))
+                for s, cnt in row.items():
+                    ends[s] = ends.get(s, 0) + cnt
                 continue
             for e in node.edges:  # deadlocked and truncated nodes have none
                 if e.child is None:
@@ -176,7 +185,12 @@ class TraceSet:
                     s2 = step(s, e)
                     if s2 is not None:
                         below[s2] = below.get(s2, 0) + cnt
-        return total
+        return ends
+
+    def _count(self, monitor: Monitor) -> int:
+        """Exact number of complete traces `monitor` accepts."""
+        start, step, accept = monitor
+        return sum(cnt for s, cnt in self._fold(start, step).items() if accept(s))
 
     def _accepted(self, monitor: Monitor) -> Iterator[tuple[Record, ...]]:
         """Record paths of the complete traces `monitor` accepts, in
@@ -229,22 +243,24 @@ class TraceSet:
 
     @cached_property
     def partition(self) -> dict[tuple[tuple[str, str], ...], int]:
-        """Exact count of complete traces per observable class."""
-        suffixes: dict[int, dict[tuple, int]] = {}
-        for nid in self.order:
-            node = self.nodes[nid]
-            if node.terminal:
-                suffixes[nid] = {(): 1}
-                continue
-            acc: dict[tuple, int] = {}
-            for e in node.edges:
-                if e.child is None:
-                    continue
-                for suffix, cnt in suffixes[e.child].items():
-                    key = e.obs + suffix
-                    acc[key] = acc.get(key, 0) + cnt
-            suffixes[nid] = acc
-        return dict(sorted(suffixes[self.root].items()))
+        """Exact count of complete traces per observable class: a fold whose
+        state is the id of a node in the trie of observable prefixes (an int
+        id hashes at no cost; a prefix tuple rehashes all of its items)."""
+        prefixes: list[tuple[tuple[str, str], ...]] = [()]
+        ids: dict[tuple[int, tuple[str, str]], int] = {}
+
+        def step(pid: int, e: Edge) -> int:
+            if not e.obs:  # most edges: no loop to set up
+                return pid
+            for o in e.obs:
+                nxt = ids.get((pid, o))
+                if nxt is None:
+                    nxt = ids[pid, o] = len(prefixes)
+                    prefixes.append(prefixes[pid] + (o,))
+                pid = nxt
+            return pid
+
+        return dict(sorted((prefixes[pid], cnt) for pid, cnt in self._fold(0, step).items()))
 
     def signal_partition(self) -> dict[tuple[str, ...], int]:
         """Classes keyed by signal sequence only (region dropped)."""
@@ -312,25 +328,17 @@ class TraceSet:
 
         elif isinstance(exp, S.EventuallyActive):
             target = dotted(resolve_state(self.ctx, exp.state))
-            start = target in self.nodes[self.root].configs
 
-            def monitor(ok: bool) -> Monitor:
-                return _flag_monitor(start, lambda e: target in self.nodes[e.child].configs, ok)
+            def monitor(ok: bool) -> Monitor:  # at the root nothing is active yet
+                return _flag_monitor(lambda e: _enters(e, target), ok)
 
             good = self._count(monitor(True))
         else:
             assert isinstance(exp, S.NeverDiscards)
             prefix = exp.signal + "#"
 
-            def discards(e: Edge) -> bool:
-                return any(
-                    r.kind == "DiscardEvent"
-                    and str(dict(r.payload).get("occ", "")).startswith(prefix)
-                    for r in e.records
-                )
-
             def monitor(ok: bool) -> Monitor:
-                return _flag_monitor(False, discards, not ok)
+                return _flag_monitor(lambda e: _discards(e, prefix), not ok)
 
             good = self._count(monitor(True))
         if good == 0:
@@ -371,21 +379,19 @@ def explore(
     onstack: set[int] = set()
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
-    # frames of the nodes being expanded: node, state, scenario index, depth,
-    # step iterator, edges so far, and the edge that reached the node
+    # frames of the nodes being expanded: node id, state, scenario index,
+    # depth, step iterator, edges so far, and the edge that reached the node
     stack: list[tuple] = []
 
     def link(via: Optional[tuple], child: Optional[int]) -> None:
-        """Completes the edge `via` (edges list, step, records) to `child`,
-        None for a cycle back into the current path (a cut branch)."""
+        """Completes the edge `via` (edges list, records) to `child`, None for
+        a cycle back into the current path (a cut branch)."""
         if via is None:
             return
-        edges, step, recs = via
+        edges, recs = via
         if child is None:
             stats.truncated += 1
-        obs = tuple(r.obs for r in recs if r.obs is not None)
-        discard = any(r.kind == "DiscardEvent" for r in recs)
-        edges.append(Edge(step.key(), tuple(recs), child, obs, discard))
+        edges.append(Edge(tuple(recs), child, tuple(r.obs for r in recs if r.obs is not None)))
         stats.edges += 1
 
     def visit(st: RuntimeState, idx: int, depth: int, via: Optional[tuple]) -> None:
@@ -395,45 +401,41 @@ def explore(
             nid = keymap[key]
             link(via, None if nid in onstack else nid)
             return
-        node = Node(nid=len(nodes), configs=frozenset(dotted(p) for p, _ in st.active))
-        nodes.append(node)
+        nid = len(nodes)
+        nodes.append(Node())
         stats.nodes += 1
         if prune:
-            keymap[key] = node.nid
-        pool_load = (
-            len(st.queue_regular) + len(st.queue_completion) + len(st.deferred) + len(st.in_flight)
-        )
-        if depth >= bnd.max_micro_steps or pool_load > bnd.max_pool:
-            node.truncated = True
+            keymap[key] = nid
+        if depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool:
             stats.truncated += 1
         elif steps := K.enabled_steps(ctx, st):
-            onstack.add(node.nid)
-            stack.append((node, st, idx, depth, iter(steps), [], via))
+            onstack.add(nid)
+            stack.append((nid, st, idx, depth, iter(steps), [], via))
             return
+        elif idx >= scn_len:
+            nodes[nid].terminal = True
         else:
-            node.terminal = idx >= scn_len
-            node.deadlock = not node.terminal
-            stats.deadlocks += node.deadlock
-        order.append(node.nid)
-        link(via, node.nid)
+            stats.deadlocks += 1
+        order.append(nid)
+        link(via, nid)
 
     boot_records: list[Record] = []
     st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records)
     visit(st0, idx0, 0, None)
     while stack:
-        node, st, idx, depth, steps, edges, via = stack[-1]
+        nid, st, idx, depth, steps, edges, via = stack[-1]
         step = next(steps, None)
         if step is None:
             stack.pop()
-            node.edges = tuple(edges)
-            onstack.discard(node.nid)
-            order.append(node.nid)
-            link(via, node.nid)
+            nodes[nid].edges = tuple(edges)
+            onstack.discard(nid)
+            order.append(nid)
+            link(via, nid)
             continue
         st2, rec = K.apply(ctx, st, step)
         recs = [rec]
         st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
-        visit(st3, idx2, depth + 1, (edges, step, recs))
+        visit(st3, idx2, depth + 1, (edges, recs))
 
     result = TraceSet(
         ctx=ctx,
@@ -443,10 +445,8 @@ def explore(
         order=order,
         root_records=tuple(boot_records),
         stats=stats,
-        pruned=prune,
     )
-    stats.complete = result.total
-    stats.discard_traces = result._count(_flag_monitor(False, lambda e: e.has_discard, True))
+    stats.discard_traces = result._count(_flag_monitor(_discards, True))
     return result
 
 

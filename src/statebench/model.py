@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class SourceSpan:
 
 # --- activity nodes ---------------------------------------------------------
 
-ASSIGN_OPS = ("+", "-")
 GUARD_OPS = ("==", "!=", "<", ">")
 
 
@@ -158,11 +157,6 @@ class Region:
     vertices: tuple[Vertex, ...]
     transitions: tuple[Transition, ...]
     span: Optional[SourceSpan] = field(default=None, compare=False)
-
-    def states(self) -> Iterator[State]:
-        for v in self.vertices:
-            if isinstance(v, State):
-                yield v
 
     def initial_transition(self) -> Optional[Transition]:
         for t in self.transitions:

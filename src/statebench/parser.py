@@ -533,21 +533,22 @@ def load_scenario(path: "str | os.PathLike[str]", machine: M.MachineModel) -> S.
     return result.scenario
 
 
-def _state_names(machine: M.MachineModel) -> set[str]:
-    names: set[str] = set()
+def _state_refs(machine: M.MachineModel) -> set[str]:
+    """The ways a scenario may name a state: its bare name, or its full
+    dotted vertex path from a root region."""
+    refs: set[str] = set()
 
-    def walk(region: M.Region) -> None:
+    def walk(region: M.Region, path: str) -> None:
         for v in region.vertices:
+            if isinstance(v, (M.State, M.FinalState)):
+                refs.update((v.name, f"{path}.{v.name}"))
             if isinstance(v, M.State):
-                names.add(v.name)
                 for sub in v.regions:
-                    walk(sub)
-            elif isinstance(v, M.FinalState):
-                names.add(v.name)
+                    walk(sub, f"{path}.{v.name}.{sub.name}")
 
     for region in machine.regions:
-        walk(region)
-    return names
+        walk(region, region.name)
+    return refs
 
 
 def _parse_scenario_body(cur: _Cursor, machine: M.MachineModel) -> S.Scenario:
@@ -557,7 +558,7 @@ def _parse_scenario_body(cur: _Cursor, machine: M.MachineModel) -> S.Scenario:
     steps: list[S.Step] = []
     expectations: list[S.Expectation] = []
     signals = set(machine.signals)
-    states = _state_names(machine)
+    states = _state_refs(machine)
     while not cur.at("}") and not cur.at("eof"):
         try:
             tok = cur.peek()
@@ -598,10 +599,11 @@ def _parse_expectation(cur: _Cursor, signals: set[str], states: set[str],
             cur.advance()
             parts.append(cur.expect_ident("state name"))
         cur.expect(";", "';'")
-        if parts[-1] not in states:
-            cur.error("UnknownReference", f"state {parts[-1]!r} not found in the machine")
+        ref = ".".join(parts)
+        if ref not in states:
+            cur.error("UnknownReference", f"state {ref!r} not found in the machine")
             raise _Recover()
-        return S.EventuallyActive(".".join(parts), span=span)
+        return S.EventuallyActive(ref, span=span)
     if cur.at_keyword("emits"):
         cur.advance()
         seq: list[str] = []

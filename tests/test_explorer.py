@@ -8,6 +8,7 @@ pinned so any kernel change that shifts the schedule space fails loudly.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -112,6 +113,23 @@ def verdict_json(v):
         ["none"],
         id="defer-release-discards",
     ),
+    # hierarchy: a dotted path into a nested region, and a composite state
+    # left by its completion transition
+    pytest.param(
+        "nested-do",
+        "scenario s { inject e1; expect eventually-active main.Outer.r.After;"
+        " expect emits progress; }",
+        ["all", "some"],
+        id="nested-do-active-emits",
+    ),
+    pytest.param(
+        "composite-work",
+        "scenario s { inject go; await-stable; inject e2; await-stable; inject e3;"
+        " inject e2; expect eventually-active F; expect eventually-active D;"
+        " expect never-discards e2; }",
+        ["all", "all", "none"],
+        id="composite-work-active-discards",
+    ),
 ])
 def test_pruned_and_unpruned_agree(name, text, verdicts):
     m = machine(name)
@@ -136,6 +154,9 @@ def test_pruned_and_unpruned_agree(name, text, verdicts):
     # observable class on its side
     paths = list(complete_paths(full, full.root, full.root_records))
     assert len(paths) == full.total
+    assert Counter(Trace(p).observables() for p in paths) == full.partition
+    if name == "composite-work":
+        assert full.total == 285
     ctx = build_index(m)
     judged = [
         evaluate_run(ctx, scn, run(ctx, scn, ScriptStrategy(Trace(p).script())))

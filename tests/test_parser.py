@@ -163,6 +163,24 @@ def test_scenario_expectations_parse(measurement):
     assert kinds == ["EventuallyActive", "Emits", "NeverDiscards"]
 
 
+@pytest.mark.parametrize("ref,ok", [
+    ("S3", True),
+    ("main.S1.r.S3", True),
+    ("main.S4", True),
+    ("S1.r.S3", False),           # not from a root region
+    ("nowhere.S3", False),
+    ("main.S1.S3", False),        # the region is missing
+    ("main.S1.r", False),         # a region, not a vertex
+])
+def test_eventually_active_dotted_reference_is_a_full_vertex_path(ref, ok):
+    m = load_model(str(fixture_path("composite-defer-steal.psm")))
+    res = parse_scenario(f"scenario s {{ inject e3; expect eventually-active {ref}; }}", m)
+    assert res.ok == ok, res.errors
+    if not ok:
+        assert [e.code for e in res.errors] == ["UnknownReference"]
+        assert ref in res.errors[0].message
+
+
 def test_pretty_print_round_trips_fixtures():
     for name in ("measurement", "composite-defer-steal", "accept-defer-override",
                  "do-internal", "orthogonal-do"):
