@@ -288,7 +288,7 @@ def cmd_replay(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=2000, help="micro-step budget")
+    p.add_argument("--max-steps", type=int, default=2000, help="records per schedule, injections included")
     p.add_argument("--max-pool", type=int, default=64, help="event pool size bound")
 
 

@@ -218,8 +218,12 @@ def init(source: Union[M.MachineModel, ModelIndex], max_steps: int = 2000) -> Ru
 
 
 def resolve_state(ctx: ModelIndex, text: str) -> Path:
+    """The vertex that `text` names: a full dotted path, or a bare name."""
     if "." in text:
-        return tuple(text.split("."))
+        path = tuple(text.split("."))
+        if path not in ctx.vertex:
+            raise KeyError(text)
+        return path
     for path in ctx.vertex:
         if path[-1] == text:
             return path

@@ -1,12 +1,19 @@
 """Exhaustive exploration of scheduling choices.
 
 One scenario, one machine, every schedule: the explorer walks the tree of
-enabled micro-steps depth-first and shares identical futures. Two execution
-prefixes that land in the same runtime state (same configuration, pools,
-threads, variables — everything behavior-relevant) have exactly the same set
-of possible continuations, so the tree collapses into a DAG. Pruning is
-therefore lossless: path counts and observable classes are computed exactly
-by dynamic programming over the DAG, never by sampling.
+enabled micro-steps depth-first and shares identical futures. A node is a
+runtime state (configuration, pools, threads, variables — everything
+behavior-relevant), a scenario index and the path length in records. Paths
+that reach the same node have the same continuations, step bound included,
+so the tree collapses into a DAG and pruning is lossless: counts and
+observable classes are exact and do not depend on the order of the walk.
+Every edge adds a record, so no edge leads back into the current path and
+the DAG has no cycle. A state reached at several path lengths is a node per
+length, so the DAG can be larger than the graph of runtime states.
+
+The step bound counts records per schedule, forced scenario injections
+included (they sit inside edge record lists but never fork the DAG), as
+`run` does; like `run`, the bounds cut only where a step is still enabled.
 
 Every query runs on three generic pieces, all iterative, so no depth of the
 DAG can exhaust the interpreter's stack:
@@ -38,9 +45,6 @@ sequences of environment sends (signal plus emitting root region) are equal.
 The normalized view projects each trace onto its root regions separately and
 compares the per-region sequences instead, which identifies traces that
 differ only in how independent regions' outputs interleave.
-
-Scenario injections are forced moves bound to stability, not choices; they
-appear inside edge record lists but never fork the DAG.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .trace import Record, Trace
 
 @dataclass(frozen=True)
 class ExploreBounds:
-    max_micro_steps: int = 200     # per path
+    max_micro_steps: int = 200     # records per path, injections included
     max_traces: int = 10000        # materialization cap
     max_pool: int = 64             # combined occupancy of all pools
 
@@ -68,7 +72,7 @@ class ExploreBounds:
 @dataclass(frozen=True)
 class Edge:
     records: tuple[Record, ...]    # the step's record plus any forced injections
-    child: Optional[int]           # None: cut by a cycle
+    child: int
     obs: tuple[tuple[str, str], ...]
 
 
@@ -83,7 +87,7 @@ class ExploreStats:
     nodes: int = 0
     edges: int = 0
     deadlocks: int = 0
-    truncated: int = 0             # branches cut by bounds or cycles
+    truncated: int = 0             # nodes cut by the step or pool bound
     discard_traces: int = 0        # complete traces containing a DiscardEvent
 
 
@@ -178,8 +182,6 @@ class TraceSet:
                     ends[s] = ends.get(s, 0) + cnt
                 continue
             for e in node.edges:  # deadlocked and truncated nodes have none
-                if e.child is None:
-                    continue
                 below = rows.setdefault(e.child, {})
                 for s, cnt in row.items():
                     s2 = step(s, e)
@@ -209,8 +211,6 @@ class TraceSet:
             frame = stack[-1]
             _, s, edges, mark, _ = frame
             for e in edges:
-                if e.child is None:
-                    continue
                 s2 = step(s, e)
                 if s2 is None or (e.child, s2) in dead:
                     continue
@@ -376,66 +376,52 @@ def explore(
     nodes: list[Node] = []
     order: list[int] = []
     keymap: dict[tuple, int] = {}
-    onstack: set[int] = set()
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
     # frames of the nodes being expanded: node id, state, scenario index,
-    # depth, step iterator, edges so far, and the edge that reached the node
+    # depth (records on the path), step iterator, edges so far
     stack: list[tuple] = []
 
-    def link(via: Optional[tuple], child: Optional[int]) -> None:
-        """Completes the edge `via` (edges list, records) to `child`, None for
-        a cycle back into the current path (a cut branch)."""
-        if via is None:
-            return
-        edges, recs = via
-        if child is None:
-            stats.truncated += 1
-        edges.append(Edge(tuple(recs), child, tuple(r.obs for r in recs if r.obs is not None)))
-        stats.edges += 1
-
-    def visit(st: RuntimeState, idx: int, depth: int, via: Optional[tuple]) -> None:
-        """Links (st, idx) through `via`; a new node with steps goes on the stack."""
-        key = (st.key(), idx)
+    def visit(st: RuntimeState, idx: int, depth: int) -> int:
+        """The node of (st, idx, depth); a new node with steps goes on the stack."""
+        key = (st.key(), idx, depth)
         if prune and key in keymap:
-            nid = keymap[key]
-            link(via, None if nid in onstack else nid)
-            return
+            return keymap[key]
         nid = len(nodes)
         nodes.append(Node())
         stats.nodes += 1
         if prune:
             keymap[key] = nid
-        if depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool:
+        steps = K.enabled_steps(ctx, st)
+        if steps and (depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool):
             stats.truncated += 1
-        elif steps := K.enabled_steps(ctx, st):
-            onstack.add(nid)
-            stack.append((nid, st, idx, depth, iter(steps), [], via))
-            return
+        elif steps:
+            stack.append((nid, st, idx, depth, iter(steps), []))
+            return nid
         elif idx >= scn_len:
             nodes[nid].terminal = True
         else:
             stats.deadlocks += 1
         order.append(nid)
-        link(via, nid)
+        return nid
 
     boot_records: list[Record] = []
     st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records)
-    visit(st0, idx0, 0, None)
+    visit(st0, idx0, len(boot_records))
     while stack:
-        nid, st, idx, depth, steps, edges, via = stack[-1]
+        nid, st, idx, depth, steps, edges = stack[-1]
         step = next(steps, None)
         if step is None:
             stack.pop()
             nodes[nid].edges = tuple(edges)
-            onstack.discard(nid)
             order.append(nid)
-            link(via, nid)
             continue
         st2, rec = K.apply(ctx, st, step)
         recs = [rec]
         st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
-        visit(st3, idx2, depth + 1, (edges, recs))
+        child = visit(st3, idx2, depth + len(recs))
+        edges.append(Edge(tuple(recs), child, tuple(r.obs for r in recs if r.obs is not None)))
+        stats.edges += 1
 
     result = TraceSet(
         ctx=ctx,

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import machine, scenario_for
-from statebench.engine import ScriptStrategy, build_index, evaluate_run, run
+from flat_oracle import gen_flat_machine, gen_flat_scenario
+from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
 from statebench.explorer import ExploreBounds, check, explore
 from statebench.parser import parse_scenario
 from statebench.scenario import Emits, EventuallyActive, NeverDiscards
@@ -179,6 +181,81 @@ def test_pruned_and_unpruned_agree(name, text, verdicts):
             assert (found.records if found else None) == (side[0] if side else None)
 
 
+# every fixture scenario but measurement (too large to walk unpruned), as
+# (machine, scenario), plus inline scenarios for the hierarchical machines
+# that have no scenario file
+BOUNDED_CASES = [
+    pytest.param(name, name, id=name)
+    for name in (
+        "accept-defer-override", "accept-defer", "accept-race", "completion-priority",
+        "completion-self-loop", "composite-defer-steal", "composite-work",
+        "defer-release", "do-simple", "self-signal",
+    )
+] + [
+    pytest.param("composite-work", "composite-complete", id="composite-complete"),
+    pytest.param(
+        "nested-do",
+        "scenario s { inject e1; expect eventually-active main.Outer.r.After;"
+        " expect emits progress; }",
+        id="nested-do-inline",
+    ),
+    pytest.param(
+        "nested-two-dos",
+        "scenario s { inject e1; expect eventually-active main.Parent.r.After;"
+        " expect never-discards e1; }",
+        id="nested-two-dos-inline",
+    ),
+    pytest.param(
+        "orthogonal-do",
+        "scenario s { inject e1; inject e2; expect eventually-active L2; }",
+        id="orthogonal-do-inline",
+    ),
+]
+
+
+@pytest.mark.parametrize("bounds", [
+    pytest.param(ExploreBounds(max_micro_steps=10), id="steps10"),
+    pytest.param(ExploreBounds(max_micro_steps=25), id="steps25"),
+    pytest.param(ExploreBounds(max_micro_steps=31), id="steps31"),
+    pytest.param(ExploreBounds(max_pool=1), id="pool1"),
+])
+@pytest.mark.parametrize("name,scn_ref", BOUNDED_CASES)
+def test_bounded_pruned_and_unpruned_agree(name, scn_ref, bounds):
+    # a bound must cut the same schedules whatever order the walk takes
+    m = machine(name)
+    scn = parse_scenario(scn_ref, m).scenario if "{" in scn_ref else scenario_for(scn_ref, m)
+    pruned = explore(m, scn, bounds=bounds, prune=True)
+    full = explore(m, scn, bounds=bounds, prune=False)
+    assert pruned.total == full.total
+    assert pruned.partition == full.partition
+    assert pruned.stats.discard_traces == full.stats.discard_traces
+    assert [verdict_json(v) for v in pruned.check_all()] == [
+        verdict_json(v) for v in full.check_all()
+    ]
+    # no edge closes a cycle: every child comes before its parent in `order`
+    for ts in (pruned, full):
+        place = {nid: i for i, nid in enumerate(ts.order)}
+        assert len(place) == len(ts.nodes)
+        for nid, node in enumerate(ts.nodes):
+            assert all(place[e.child] < place[nid] for e in node.edges)
+
+
+@pytest.mark.parametrize("seed", range(0, 30))
+def test_run_and_explore_share_the_step_bound(seed):
+    # a flat machine has one schedule; the bound counts its records,
+    # injections included, and only cuts where a step is still enabled
+    m = gen_flat_machine(seed)
+    scn = gen_flat_scenario(seed, m)
+    n = len(run(m, scn).trace.records)
+    assert len(run(m, scn, max_steps=n).trace.records) == n
+    ts = explore(m, scn, bounds=ExploreBounds(max_micro_steps=n))
+    assert (ts.total, ts.stats.truncated) == (1, 0)
+    with pytest.raises(BudgetExceeded):
+        run(m, scn, max_steps=n - 1)
+    ts = explore(m, scn, bounds=ExploreBounds(max_micro_steps=n - 1))
+    assert (ts.total, ts.stats.truncated) == (0, 1)
+
+
 # --- materialization and witnesses --------------------------------------------
 
 
@@ -267,6 +344,22 @@ def test_eventually_active_all():
     ).scenario
     [v] = check(m, scn)
     assert v.verdict == "all"
+
+
+def test_dotted_state_must_name_a_vertex():
+    # a scenario built in code skips the parser's check of state references
+    m = machine("composite-defer-steal")
+    base = scenario_for("composite-defer-steal", m)
+    ctx = build_index(m)
+    scn = replace(base, expectations=(EventuallyActive("main.S1.r.S3"),))
+    assert [v.verdict for v in check(ctx, scn)] == ["all"]
+    assert [o.ok for o in evaluate_run(ctx, scn, run(ctx, scn))] == [True]
+    for text in ("nowhere.S3", "S1.r.S3", "main.S1.S3", "main.S1.r"):
+        scn = replace(base, expectations=(EventuallyActive(text),))
+        with pytest.raises(KeyError):
+            check(ctx, scn)
+        with pytest.raises(KeyError):
+            evaluate_run(ctx, scn, run(ctx, scn))
 
 
 # --- truncation ---------------------------------------------------------------
