@@ -287,9 +287,9 @@ def cmd_replay(args) -> int:
 # --- entry -------------------------------------------------------------------
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-steps", type=int, default=2000, help="records per schedule, injections included")
-    p.add_argument("--max-pool", type=int, default=64, help="event pool size bound")
+def _add_budget_flags(p: argparse.ArgumentParser, max_steps: int = 2000, max_pool: int = 64) -> None:
+    p.add_argument("--max-steps", type=int, default=max_steps, help="records per schedule, injections included")
+    p.add_argument("--max-pool", type=int, default=max_pool, help="event pool size bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,13 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="enumerate all schedules")
     p.add_argument("model")
     p.add_argument("scenario")
+    bounds = ExploreBounds()
     p.add_argument(
-        "--max-traces", type=int, default=10000, help="cap on materialized traces, then on class witnesses"
+        "--max-traces", type=int, default=bounds.max_traces,
+        help="cap on materialized traces, then on class witnesses",
     )
     p.add_argument("--no-prune", action="store_true", help="disable state memoization")
     p.add_argument("--classes", action="store_true", help="list every signal class")
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    _add_budget_flags(p)
+    _add_budget_flags(p, bounds.max_micro_steps, bounds.max_pool)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("lint", help="static doActivity hazard report")

@@ -1,84 +1,6 @@
 """Hierarchical state machine interpreter with explicit micro-step scheduling."""
 
-from .driver import (
-    BudgetExceeded,
-    ExpectationOutcome,
-    FirstStrategy,
-    RandomStrategy,
-    RunResult,
-    ScriptDiverged,
-    ScriptStrategy,
-    StablePoint,
-    Strategy,
-    advance_scenario,
-    evaluate_run,
-    init,
-    resolve_state,
-    run,
-)
-from .kernel import (
-    KernelError,
-    ModelIndex,
-    analyze_dispatch,
-    apply,
-    boot,
-    build_index,
-    enabled_steps,
-    inject,
-)
-from .occurrences import (
-    CompletionOccurrence,
-    InvocationOccurrence,
-    Occurrence,
-    SignalOccurrence,
-)
-from .state import (
-    Accepter,
-    ActivityExec,
-    DoThread,
-    LegStep,
-    LegThread,
-    PendingDispatch,
-    RuntimeState,
-    dotted,
-)
-from .steps import MicroStep, StepKind
+from .driver import BudgetExceeded, ScriptStrategy, evaluate_run, run
+from .kernel import build_index
 
-__all__ = [
-    "Accepter",
-    "ActivityExec",
-    "BudgetExceeded",
-    "CompletionOccurrence",
-    "DoThread",
-    "ExpectationOutcome",
-    "FirstStrategy",
-    "InvocationOccurrence",
-    "KernelError",
-    "LegStep",
-    "LegThread",
-    "MicroStep",
-    "ModelIndex",
-    "Occurrence",
-    "PendingDispatch",
-    "RandomStrategy",
-    "RunResult",
-    "RuntimeState",
-    "ScriptDiverged",
-    "ScriptStrategy",
-    "SignalOccurrence",
-    "StablePoint",
-    "StepKind",
-    "Strategy",
-    "advance_scenario",
-    "analyze_dispatch",
-    "apply",
-    "boot",
-    "build_index",
-    "dotted",
-    "enabled_steps",
-    "evaluate_run",
-    "init",
-    "inject",
-    "resolve_state",
-    "run",
-]
+__all__ = ["BudgetExceeded", "ScriptStrategy", "build_index", "evaluate_run", "run"]

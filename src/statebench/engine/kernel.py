@@ -18,6 +18,12 @@ from the dispatcher committing an occurrence to the state machine until the
 last leg it spawned finishes; doActivity threads run concurrently and their
 steps interleave freely with leg steps.
 
+Step order: `enabled_steps` lists doActivity threads first, then legs, each
+by thread id as a number, then "net", then "sm"; within a thread, steps
+sort by `MicroStep.key()`. The thread label alone fixes a step's place
+(`steps.sort_group`), so every step is built by `_step` from its kind,
+thread label and payload items.
+
 Dispatch is two micro-steps: DispatchEvent pops an occurrence and computes
 *at that instant* the complete decision table (which transitions fire after
 priority arbitration, which doActivity accepters match, whether deferral
@@ -153,6 +159,24 @@ def _payload(*items: tuple[str, "str | int"]) -> tuple:
     return tuple(sorted(items))
 
 
+def _step(kind: StepKind, thread: str, *items: tuple[str, "str | int"]) -> MicroStep:
+    return MicroStep(kind, thread, _payload(*items))
+
+
+def _canonical(steps) -> list[MicroStep]:
+    return sorted(steps, key=lambda s: (sort_group(s.thread), s.key()))
+
+
+def _without(queue: tuple, occ: Occurrence) -> tuple:
+    return tuple(o for o in queue if o is not occ)
+
+
+def _without_accepters(st: RuntimeState, tid: int, node: Optional[int] = None) -> RuntimeState:
+    """Drops thread `tid`'s accepters, or only the one parked at `node`."""
+    kept = tuple(a for a in st.accepters if a.tid != tid or node not in (None, a.node))
+    return replace(st, accepters=kept)
+
+
 def _pool_digest(st: RuntimeState) -> str:
     text = ";".join(
         (
@@ -230,6 +254,10 @@ def _exit_cascade(ctx: ModelIndex, st: RuntimeState, path: Path) -> list[LegStep
     return steps
 
 
+def _entry_program(ctx: ModelIndex, v: M.State) -> Optional[str]:
+    return v.entry if (v.entry and ctx.prog_entry(v.entry) is not None) else None
+
+
 def _entry_sequence(ctx: ModelIndex, path: Path) -> list[LegStep]:
     """Entry steps for one target vertex: enter, entry behavior, then start
     the doActivity; child regions spawn as independent legs once the entry
@@ -238,7 +266,7 @@ def _entry_sequence(ctx: ModelIndex, path: Path) -> list[LegStep]:
     if isinstance(v, M.FinalState):
         return [LegStep("enter", path)]
     has_regions = bool(ctx.state_regions.get(path))
-    entry_prog = v.entry if (v.entry and ctx.prog_entry(v.entry) is not None) else None
+    entry_prog = _entry_program(ctx, v)
     steps = [LegStep("enter", path, spawn=has_regions and entry_prog is None)]
     if entry_prog:
         steps.append(LegStep("entry_behavior", path, activity=entry_prog, spawn=has_regions))
@@ -482,52 +510,23 @@ def _routed(thread: DoThread, node: int) -> Optional[Occurrence]:
 
 def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep]:
     label = th.label()
-    group = sort_group(label, th.tid)
     if not th.invoked:
         inv = th.local[0][1]
-        return [
-            MicroStep(
-                StepKind.INIT_DO,
-                label,
-                _payload(("occ", inv.brief()), ("state", dotted(th.state))),
-                sort=group,
-            )
-        ]
+        return [_step(StepKind.INIT_DO, label, ("occ", inv.brief()), ("state", dotted(th.state)))]
     prog = ctx.program(th.activity)
     steps: list[MicroStep] = []
     for nid in th.exec.strands:
         node = prog.node(nid)
-        if node.kind == "accept":
-            occ = _routed(th, nid)
-            if occ is not None:
-                steps.append(
-                    MicroStep(
-                        StepKind.RUN_ACTION,
-                        label,
-                        _payload(("node", nid), ("do", describe(node)), ("occ", occ.brief())),
-                        sort=group,
-                    )
-                )
-            elif _accepter_for(st, th.tid, nid) is None:
-                steps.append(
-                    MicroStep(
-                        StepKind.REGISTER_ACCEPT,
-                        label,
-                        _payload(("node", nid), ("signals", "|".join(node.signals))),
-                        sort=group,
-                    )
-                )
-            # else: registered and waiting; ConsumeDeferred is produced from
-            # the accepter list, not from here
-        else:
-            steps.append(
-                MicroStep(
-                    StepKind.RUN_ACTION,
-                    label,
-                    _payload(("node", nid), ("do", describe(node))),
-                    sort=group,
-                )
-            )
+        if node.kind != "accept":
+            steps.append(_step(StepKind.RUN_ACTION, label, ("node", nid), ("do", describe(node))))
+        elif (occ := _routed(th, nid)) is not None:
+            items = (("node", nid), ("do", describe(node)), ("occ", occ.brief()))
+            steps.append(_step(StepKind.RUN_ACTION, label, *items))
+        elif _accepter_for(st, th.tid, nid) is None:
+            items = (("node", nid), ("signals", "|".join(node.signals)))
+            steps.append(_step(StepKind.REGISTER_ACCEPT, label, *items))
+        # else: registered and waiting; ConsumeDeferred is produced from
+        # the accepter list, not from here
     return steps
 
 
@@ -537,34 +536,47 @@ _LEG_KIND = {
     "release": StepKind.RELEASE_DEFERRED,
     "enter": StepKind.ENTER_STATE,
     "start_do": StepKind.START_DO,
-}
-
-_PHASE_KIND = {
     "effect": StepKind.RUN_EFFECT_ACTION,
     "exit_behavior": StepKind.RUN_EXIT_ACTION,
     "entry_behavior": StepKind.RUN_ENTRY_ACTION,
 }
 
+_PHASE_KINDS = frozenset(_LEG_KIND[p] for p in _PHASES)
 
-def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroStep]:
+
+def _leg_steps(ctx: ModelIndex, leg: LegThread) -> list[MicroStep]:
     label = leg.label()
-    group = sort_group(label, leg.tid)
     step = leg.current()
-    if step.kind in _PHASES:
-        assert leg.exec is not None
-        prog = ctx.program(step.activity)
-        kind = _PHASE_KIND[step.kind]
-        out = []
-        for nid in leg.exec.strands:
-            items = [("node", nid), ("do", describe(prog.node(nid))), ("activity", step.activity)]
-            if step.transition:
-                items.append(("transition", step.transition))
-            else:
-                items.append(("state", dotted(step.path)))
-            out.append(MicroStep(kind, label, _payload(*items), sort=group))
-        return out
-    payload = _payload(("state", dotted(step.path)))
-    return [MicroStep(_LEG_KIND[step.kind], label, payload, sort=group)]
+    kind = _LEG_KIND[step.kind]
+    if step.kind not in _PHASES:
+        return [_step(kind, label, ("state", dotted(step.path)))]
+    assert leg.exec is not None
+    prog = ctx.program(step.activity)
+    where = ("transition", step.transition) if step.transition else ("state", dotted(step.path))
+    about = (("activity", step.activity), where)
+    return [_step(kind, label, ("node", n), ("do", describe(prog.node(n))), *about) for n in leg.exec.strands]
+
+
+_OPTION_KIND = {
+    "sm": StepKind.CHOOSE_ACCEPTER,
+    "do": StepKind.CHOOSE_ACCEPTER,
+    "defer": StepKind.DEFER,
+    "discard": StepKind.DISCARD,
+}
+
+
+def _accepter_label(option: tuple) -> str:
+    return "sm" if option[0] == "sm" else f"do{option[1]}@{option[2]}"
+
+
+def _option_step(occ: Occurrence, option: tuple) -> MicroStep:
+    """The step that commits one row of a pending dispatch decision."""
+    items = [("occ", occ.brief())]
+    if option[0] in ("sm", "do"):
+        items.append(("accepter", _accepter_label(option)))
+    if option[0] == "sm":
+        items.append(("fired", ",".join(f"{r}:{n}" for r, n in option[1])))
+    return _step(_OPTION_KIND[option[0]], "sm", *items)
 
 
 def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
@@ -573,47 +585,7 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
     environment and no runnable doActivity work."""
     # a pending dispatch decision is committed before anything else moves
     if st.pending is not None:
-        occ = st.pending.occurrence
-        steps = []
-        for opt in st.pending.options:
-            if opt[0] == "sm":
-                names = ",".join(f"{r}:{n}" for r, n in opt[1])
-                steps.append(
-                    MicroStep(
-                        StepKind.CHOOSE_ACCEPTER,
-                        "sm",
-                        _payload(("occ", occ.brief()), ("accepter", "sm"), ("fired", names)),
-                        sort=sort_group("sm"),
-                    )
-                )
-            elif opt[0] == "do":
-                steps.append(
-                    MicroStep(
-                        StepKind.CHOOSE_ACCEPTER,
-                        "sm",
-                        _payload(("occ", occ.brief()), ("accepter", f"do{opt[1]}@{opt[2]}")),
-                        sort=sort_group("sm"),
-                    )
-                )
-            elif opt[0] == "defer":
-                steps.append(
-                    MicroStep(
-                        StepKind.DEFER,
-                        "sm",
-                        _payload(("occ", occ.brief())),
-                        sort=sort_group("sm"),
-                    )
-                )
-            else:
-                steps.append(
-                    MicroStep(
-                        StepKind.DISCARD,
-                        "sm",
-                        _payload(("occ", occ.brief())),
-                        sort=sort_group("sm"),
-                    )
-                )
-        return sorted(steps, key=lambda s: (s.sort, s.key()))
+        return _canonical(_option_step(st.pending.occurrence, o) for o in st.pending.options)
 
     steps = []
     for th in st.threads:
@@ -621,57 +593,30 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
             if not th.finished:
                 steps.extend(_do_steps(ctx, st, th))
         else:
-            steps.extend(_leg_steps(ctx, st, th))
+            steps.extend(_leg_steps(ctx, th))
 
     # deferred-pool drain by registered accepters, any time, also mid-RTC
     for acc in st.accepters:
         for occ in st.deferred:
             if occ.signal in acc.signals:
-                steps.append(
-                    MicroStep(
-                        StepKind.CONSUME_DEFERRED,
-                        f"do{acc.tid}",
-                        _payload(("node", acc.node), ("occ", occ.brief())),
-                        sort=sort_group(f"do{acc.tid}", acc.tid),
-                    )
-                )
+                items = (("node", acc.node), ("occ", occ.brief()))
+                steps.append(_step(StepKind.CONSUME_DEFERRED, f"do{acc.tid}", *items))
                 break   # FIFO within the deferred pool
 
-    for occ in st.in_flight:
-        steps.append(
-            MicroStep(
-                StepKind.DELIVER,
-                "net",
-                _payload(("occ", occ.brief())),
-                sort=sort_group("net"),
-            )
-        )
-
-    for path, status in st.active:
-        if status == "completing":
-            steps.append(
-                MicroStep(
-                    StepKind.GENERATE_COMPLETION,
-                    "sm",
-                    _payload(("state", dotted(path))),
-                    sort=sort_group("sm"),
-                )
-            )
+    steps.extend(_step(StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
+    steps.extend(
+        _step(StepKind.GENERATE_COMPLETION, "sm", ("state", dotted(path)))
+        for path, status in st.active
+        if status == "completing"
+    )
 
     if not st.rtc_active() and not st.completion_pending():
         # the completion pool goes first; either pool dispatches its oldest
         pool = st.queue_completion or st.queue_regular
         if pool:
-            steps.append(
-                MicroStep(
-                    StepKind.DISPATCH,
-                    "sm",
-                    _payload(("occ", pool[0].brief())),
-                    sort=sort_group("sm"),
-                )
-            )
+            steps.append(_step(StepKind.DISPATCH, "sm", ("occ", pool[0].brief())))
 
-    return sorted(steps, key=lambda s: (s.sort, s.key()))
+    return _canonical(steps)
 
 
 # --- apply ----------------------------------------------------------------
@@ -692,6 +637,8 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
     """Move past the just-completed current step; spawn child regions where
     the completed step asks for it; drop the leg when finished."""
     completed = leg.current()
+    if completed.kind == "entry_behavior":
+        st = st.with_status(completed.path, "entry_done")
     leg = replace(leg, idx=leg.idx + 1, exec=None)
     if leg.done:
         st = st.without_thread(leg.tid)
@@ -703,10 +650,7 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
 
 
 def _find_occ(queue: tuple, brief: str):
-    for occ in queue:
-        if occ.brief() == brief:
-            return occ
-    return None
+    return next((occ for occ in queue if occ.brief() == brief), None)
 
 
 def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeState, Record]:
@@ -723,12 +667,12 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         brief = payload["occ"]
         occ = _find_occ(st.queue_completion, brief)
         if occ is not None:
-            st = replace(st, queue_completion=tuple(o for o in st.queue_completion if o is not occ))
+            st = replace(st, queue_completion=_without(st.queue_completion, occ))
         else:
             occ = _find_occ(st.queue_regular, brief)
             if occ is None:
                 raise KernelError(f"no such occurrence {brief}")
-            st = replace(st, queue_regular=tuple(o for o in st.queue_regular if o is not occ))
+            st = replace(st, queue_regular=_without(st.queue_regular, occ))
         options = analyze_dispatch(ctx, st, occ)
         st = replace(st, pending=PendingDispatch(occ, options))
         extra.append(("options", len(options)))
@@ -761,28 +705,21 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
                     st = st.without_thread(leg.tid)
         else:
             want = payload["accepter"]
-            chosen = next(
-                (o for o in options if o[0] == "do" and f"do{o[1]}@{o[2]}" == want), None
-            )
+            chosen = next((o for o in options if o[0] == "do" and _accepter_label(o) == want), None)
             if chosen is None:
                 raise KernelError(f"accepter {want} not offered")
             _, tid, node = chosen
             th = st.thread(tid)
             assert isinstance(th, DoThread)
             st = st.with_thread(replace(th, local=th.local + ((node, occ),)))
-            st = replace(
-                st,
-                accepters=tuple(a for a in st.accepters if not (a.tid == tid and a.node == node)),
-            )
+            st = _without_accepters(st, tid, node)
 
     elif step.kind is StepKind.INIT_DO:
         th = _thread_by_label(st, step.thread)
         assert isinstance(th, DoThread) and not th.invoked
         entry = ctx.prog_entry(th.activity)
         strands = (entry,) if entry is not None else ()
-        st = st.with_thread(
-            replace(th, invoked=True, local=(), exec=ActivityExec(strands))
-        )
+        st = st.with_thread(replace(th, invoked=True, local=(), exec=ActivityExec(strands)))
 
     elif step.kind is StepKind.RUN_ACTION:
         th = _thread_by_label(st, step.thread)
@@ -800,9 +737,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         th = replace(th, exec=ex)
         if node.kind == "final":
             th = replace(th, local=())
-            st = replace(
-                st, accepters=tuple(a for a in st.accepters if a.tid != th.tid)
-            )
+            st = _without_accepters(st, th.tid)
         st = st.with_thread(th)
 
     elif step.kind is StepKind.REGISTER_ACCEPT:
@@ -810,7 +745,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         assert isinstance(th, DoThread)
         nid = payload["node"]
         node = ctx.program(th.activity).node(nid)
-        acc = Accepter(th.tid, nid, th.state, node.signals)
+        acc = Accepter(th.tid, nid, node.signals)
         st = replace(st, accepters=tuple(sorted(st.accepters + (acc,), key=lambda a: (a.tid, a.node))))
 
     elif step.kind is StepKind.CONSUME_DEFERRED:
@@ -820,22 +755,14 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         occ = _find_occ(st.deferred, payload["occ"])
         if occ is None or _accepter_for(st, th.tid, nid) is None:
             raise KernelError("stale deferred consumption")
-        st = replace(
-            st,
-            deferred=tuple(o for o in st.deferred if o is not occ),
-            accepters=tuple(a for a in st.accepters if not (a.tid == th.tid and a.node == nid)),
-        )
+        st = _without_accepters(replace(st, deferred=_without(st.deferred, occ)), th.tid, nid)
         st = st.with_thread(replace(th, local=th.local + ((nid, occ),)))
 
     elif step.kind is StepKind.DELIVER:
         occ = _find_occ(st.in_flight, payload["occ"])
         if occ is None:
             raise KernelError("nothing in flight")
-        st = replace(
-            st,
-            in_flight=tuple(o for o in st.in_flight if o is not occ),
-            queue_regular=st.queue_regular + (occ,),
-        )
+        st = replace(st, in_flight=_without(st.in_flight, occ), queue_regular=st.queue_regular + (occ,))
 
     elif step.kind is StepKind.GENERATE_COMPLETION:
         path = tuple(payload["state"].split("."))
@@ -861,7 +788,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             raise KernelError(f"thread {step.thread} is not a leg")
         cur = leg.current()
 
-        if step.kind in _PHASE_KIND.values():
+        if step.kind in _PHASE_KINDS:
             assert leg.exec is not None
             nid = payload["node"]
             prog = ctx.program(cur.activity)
@@ -879,8 +806,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             th = _do_thread_for(st, cur.path)
             if th is not None:
                 extra.append(("live", "yes" if not th.finished else "no"))
-                st = st.without_thread(th.tid)
-                st = replace(st, accepters=tuple(a for a in st.accepters if a.tid != th.tid))
+                st = _without_accepters(st.without_thread(th.tid), th.tid)
             else:
                 extra.append(("live", "no"))
             st = _advance_leg(ctx, st, leg)
@@ -906,21 +832,15 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             if isinstance(v, M.FinalState):
                 status = "final"
             else:
-                nxt = leg.steps[leg.idx + 1] if leg.idx + 1 < len(leg.steps) else None
-                entering = nxt is not None and nxt.kind == "entry_behavior" and nxt.path == cur.path
-                status = "entering" if entering else "entry_done"
+                status = "entering" if _entry_program(ctx, v) else "entry_done"
             st = _advance_leg(ctx, st.with_status(cur.path, status), leg)
 
         elif step.kind is StepKind.START_DO:
             v = ctx.vertex[cur.path]
             assert isinstance(v, M.State) and v.do_activity
             inv = InvocationOccurrence(st.next_seq)
-            th = DoThread(
-                st.next_tid, cur.path, v.do_activity, invoked=False, local=((-1, inv),)
-            )
-            st = replace(
-                st.with_thread(th), next_seq=st.next_seq + 1, next_tid=st.next_tid + 1
-            )
+            th = DoThread(st.next_tid, cur.path, v.do_activity, invoked=False, local=((-1, inv),))
+            st = replace(st.with_thread(th), next_seq=st.next_seq + 1, next_tid=st.next_tid + 1)
             extra.append(("thread", th.label()))
             extra.append(("activity", v.do_activity))
             st = _advance_leg(ctx, st, leg)
@@ -928,8 +848,6 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         else:
             raise KernelError(f"unhandled step kind {step.kind}")
 
-    # entry behaviors flip their state to entry_done when the last strand ends
-    st = _settle_entering(st)
     st = _refresh_completions(ctx, st)
 
     record = Record(
@@ -949,23 +867,6 @@ def _thread_by_label(st: RuntimeState, label: str) -> Thread:
         if t.label() == label:
             return t
     raise KernelError(f"no thread {label}")
-
-
-def _settle_entering(st: RuntimeState) -> RuntimeState:
-    """States whose entry behavior phase just finished become entry_done."""
-    for path, status in st.active:
-        if status != "entering":
-            continue
-        leg_running = any(
-            isinstance(t, LegThread)
-            and not t.done
-            and t.current().kind == "entry_behavior"
-            and t.current().path == path
-            for t in st.threads
-        )
-        if not leg_running:
-            st = st.with_status(path, "entry_done")
-    return st
 
 
 def _rtc_tag(pre: RuntimeState, post: RuntimeState, step: MicroStep) -> Optional[int]:
@@ -994,7 +895,7 @@ def boot(ctx: ModelIndex) -> RuntimeState:
 
 
 def inject_step(signal: str) -> MicroStep:
-    return MicroStep(StepKind.INJECT, "env", _payload(("signal", signal)), sort=(8, 0, "env"))
+    return _step(StepKind.INJECT, "env", ("signal", signal))
 
 
 def inject(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[RuntimeState, Record]:

@@ -107,7 +107,6 @@ class Accepter:
 
     tid: int
     node: int                      # wait point: the accept node id
-    state: Path
     signals: tuple[str, ...]
 
 
@@ -189,9 +188,6 @@ class RuntimeState:
         """Combined occupancy of all pools: what `max_pool` bounds."""
         return len(self.queue_regular) + len(self.queue_completion) + len(self.deferred) + len(self.in_flight)
 
-    def config_paths(self) -> tuple[Path, ...]:
-        return tuple(p for p, _ in self.active)
-
     # -- functional updates --
 
     def with_thread(self, thread: Thread) -> RuntimeState:
@@ -236,7 +232,7 @@ class RuntimeState:
     def config_text(self) -> str:
         """Human-oriented snapshot of the active state configuration."""
         leaves = []
-        paths = set(self.config_paths())
+        paths = {p for p, _ in self.active}
         for p in sorted(paths):
             if not any(q != p and q[: len(p)] == p for q in paths):
                 leaves.append(dotted(p))

@@ -8,7 +8,7 @@ here as separate steps, otherwise the explorer cannot see the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -45,8 +45,6 @@ class MicroStep:
     kind: StepKind
     thread: str
     payload: Payload = ()
-    # deterministic ordering among enabled steps; not part of identity
-    sort: tuple[int, int, str] = field(default=(9, 0, ""), compare=False)
 
     def key(self) -> str:
         """Stable identity used by replay scripts and trace records."""
@@ -55,18 +53,19 @@ class MicroStep:
         return "|".join(parts)
 
 
-def sort_group(thread: str, tid: int = 0) -> tuple[int, int, str]:
+def sort_group(thread: str) -> tuple[int, int]:
     """Canonical ordering of logical threads in the enabled-step list.
 
-    doActivity threads come first, then compound transition legs, then
-    delivery and machine bookkeeping. The dispatcher sorting last means the
-    take-first strategy lets running activities make progress (and register
-    their accepters) before the next event is pulled from the pool.
+    doActivity threads come first, then compound transition legs, each by
+    thread id as a number, then delivery and machine bookkeeping. The
+    dispatcher sorting last means the take-first strategy lets running
+    activities make progress (and register their accepters) before the next
+    event is pulled from the pool.
     """
     if thread.startswith("do"):
-        return (0, tid, thread)
+        return (0, int(thread[2:]))
     if thread.startswith("leg"):
-        return (1, tid, thread)
+        return (1, int(thread[3:]))
     if thread == "net":
-        return (2, tid, thread)
-    return (3, tid, thread)
+        return (2, 0)
+    return (3, 0)

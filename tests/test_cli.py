@@ -206,6 +206,19 @@ def test_explore_deep_step_bound_exits_budget():
     assert proc.returncode == BUDGET, proc.stderr
 
 
+def test_explore_default_bounds_match_the_library(capsys):
+    # a completion self-loop runs until the step bound, so the node count
+    # shows where each side cuts
+    m = statebench.load_model(fx("completion-self-loop.psm"))
+    scn = statebench.load_scenario(fx("completion-self-loop.scn"), m)
+    code, out, _ = invoke(
+        capsys, "explore", fx("completion-self-loop.psm"), fx("completion-self-loop.scn"),
+        "--format", "structured",
+    )
+    assert code == BUDGET
+    assert json.loads(out)["nodes"] == statebench.explore(m, scn).stats.nodes
+
+
 def test_explore_no_prune(capsys):
     code, out, _ = invoke(
         capsys, "explore", fx("do-simple.psm"), fx("do-simple.scn"), "--no-prune"

@@ -1,0 +1,89 @@
+"""The canonical order of `enabled_steps`.
+
+doActivity threads first, then compound transition legs, then "net", then
+"sm"; threads of one kind by their id as a number; within a thread, by step
+key. The expected order is computed here from the thread label alone, so a
+string sort of the labels (which puts "do10" before "do9") is caught.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import FIXTURES
+from statebench.engine import kernel
+from statebench.engine.driver import RandomStrategy, run
+from statebench.explorer import explore
+from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
+
+# every scenario runs on the machine of the same name, except
+# composite-complete, which runs on composite-work
+PAIRS = sorted(
+    (p.stem if (FIXTURES / f"{p.stem}.psm").exists() else "composite-work", p.stem)
+    for p in FIXTURES.glob("*.scn")
+)
+
+
+def expected_rank(thread: str) -> tuple[int, int]:
+    for rank, prefix in enumerate(("do", "leg")):
+        if thread.startswith(prefix) and thread[len(prefix):].isdigit():
+            return rank, int(thread[len(prefix):])
+    return {"net": (2, 0), "sm": (3, 0)}[thread]
+
+
+def sensors(n: int) -> str:
+    """n orthogonal sensor regions, each entering a state with a doActivity."""
+    signals = ["turnOn", "measure"] + [f"{s}_{i}" for i in range(n) for s in ("m", "ok", "done")]
+    lines = [f"machine S{n} {{", f"  signals {', '.join(signals)};"]
+    lines += [f"  activity a_{i} {{ send m_{i} to env; accept ok_{i}; send done_{i} to self; }}" for i in range(n)]
+    lines += ["  region main {", "    initial -> Standby;", "    state Standby { }", "    state Active {"]
+    for i in range(n):
+        lines += [
+            f"      region r_{i} {{ initial -> W_{i}; state W_{i} {{ }} state M_{i} {{ do a_{i}; }}",
+            f"        transition Go_{i}: W_{i} -> M_{i} on measure;",
+            f"        transition Back_{i}: M_{i} -> W_{i} on done_{i}; }}",
+        ]
+    lines += ["    }", "    transition T1: Standby -> Active on turnOn;", "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every list `enabled_steps` returns, checked for canonical order."""
+    seen: list[list[str]] = []
+    inner = kernel.enabled_steps
+
+    def checking(ctx, st):
+        steps = inner(ctx, st)
+        ranks = [(expected_rank(s.thread), s.key()) for s in steps]
+        assert ranks == sorted(ranks), [s.key() for s in steps]
+        seen.append([s.thread for s in steps])
+        return steps
+
+    monkeypatch.setattr(kernel, "enabled_steps", checking)
+    return seen
+
+
+@pytest.mark.parametrize("model_name,scn_name", PAIRS)
+def test_fixture_walks_are_canonical(model_name, scn_name, checked):
+    m = load_model(str(FIXTURES / f"{model_name}.psm"))
+    explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m))
+    assert checked
+
+
+def test_random_runs_across_thread_id_ten_are_canonical(checked):
+    m = parse_model(sensors(3)).model
+    scn = parse_scenario(
+        "scenario s { inject turnOn; await-stable; inject measure; await-stable; "
+        "inject ok_0; inject ok_1; inject ok_2; }",
+        m,
+    ).scenario
+    for seed in range(20):
+        run(m, scn, RandomStrategy(seed))
+
+    def straddles(threads: list[str]) -> bool:
+        """Some do (or leg) threads with ids below 10 and some at 10 or above."""
+        ranks = [expected_rank(t) for t in threads]
+        return any({tid < 10 for k, tid in ranks if k == kind} == {True, False} for kind in (0, 1))
+
+    assert any(straddles(threads) for threads in checked)
