@@ -11,7 +11,8 @@ Exit codes are uniform across subcommands:
 
     0  clean (expectations hold, no findings, replay identical)
     1  expectation failed / lint findings / replay divergence
-    2  input could not be parsed
+    2  unusable input: a parse error, a missing or unreadable file, a file
+       that holds no trace, an unknown strategy
     3  step or trace budget exhausted
     4  deadlock (run: machine stuck mid-scenario; explore: some schedule is)
 """
@@ -50,6 +51,10 @@ BUDGET = 3
 DEADLOCK = 4
 
 
+class InputError(Exception):
+    """An input the command cannot use; exits with PARSE."""
+
+
 def expectation_text(e: S.Expectation) -> str:
     if isinstance(e, S.EventuallyActive):
         return f"eventually-active {e.state}"
@@ -64,6 +69,16 @@ def _load(args) -> tuple:
     return model, scenario
 
 
+def _read_trace(path: str) -> tuple[str, Trace]:
+    """A trace file's text and the trace it holds."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+            return text, trace_from_json(text)
+        except ValueError as exc:   # also undecodable bytes and bad JSON
+            raise InputError(f"{path}: cannot read trace: {exc}") from None
+
+
 def _strategy(args):
     spec = args.strategy
     if spec == "first":
@@ -71,9 +86,8 @@ def _strategy(args):
     if spec == "random":
         return RandomStrategy(args.seed)
     if spec.startswith("script:"):
-        with open(spec[len("script:"):], "r", encoding="utf-8") as fh:
-            return ScriptStrategy(trace_from_json(fh.read()).script())
-    raise SystemExit(f"unknown strategy {spec!r}")
+        return ScriptStrategy(_read_trace(spec[len("script:"):])[1].script())
+    raise InputError(f"unknown strategy {spec!r}")
 
 
 # --- run -------------------------------------------------------------------
@@ -247,9 +261,7 @@ def cmd_lint(args) -> int:
 
 def cmd_replay(args) -> int:
     model, scenario = _load(args)
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        original_json = fh.read()
-    original = trace_from_json(original_json)
+    original_json, original = _read_trace(args.trace)
 
     try:
         result = run(
@@ -354,7 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         for d in exc.errors:
             print(d, file=sys.stderr)
         return PARSE
-    except OSError as exc:
+    except (OSError, InputError) as exc:
         print(str(exc), file=sys.stderr)
         return PARSE
 

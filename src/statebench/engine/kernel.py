@@ -9,6 +9,14 @@ plus `boot` to set up the initial compound transitions and `inject` for the
 environment. Everything else (drivers, exploration, replay) is built on top
 of these and knows nothing about state machine semantics.
 
+Applicability has one definition: a step is applicable in a state iff
+`enabled_steps` lists it there. Each listed step carries the state it was
+enabled in and its operand (the thread and node, the occurrence, the
+dispatch option, ...), and `apply` acts on that operand. Any other step is
+looked up by equality in `enabled_steps` first; KernelError if it is not
+there. `inject` is the environment's entry, not an enabled step: it adds a
+signal to the pool and renders its record as `apply` does.
+
 Scheduling model
 ----------------
 Logical threads: the dispatcher ("sm"), one thread per compound transition
@@ -21,8 +29,8 @@ steps interleave freely with leg steps.
 Step order: `enabled_steps` lists doActivity threads first, then legs, each
 by thread id as a number, then "net", then "sm"; within a thread, steps
 sort by `MicroStep.key()`. The thread label alone fixes a step's place
-(`steps.sort_group`), so every step is built by `_step` from its kind,
-thread label and payload items.
+(`steps.sort_group`), so every step is built by `_step` from its state,
+operand, kind, thread label and payload items.
 
 Dispatch is two micro-steps: DispatchEvent pops an occurrence and computes
 *at that instant* the complete decision table (which transitions fire after
@@ -70,7 +78,6 @@ from .state import (
     Path,
     PendingDispatch,
     RuntimeState,
-    Thread,
     dotted,
 )
 from .steps import MicroStep, StepKind, sort_group
@@ -159,8 +166,8 @@ def _payload(*items: tuple[str, "str | int"]) -> tuple:
     return tuple(sorted(items))
 
 
-def _step(kind: StepKind, thread: str, *items: tuple[str, "str | int"]) -> MicroStep:
-    return MicroStep(kind, thread, _payload(*items))
+def _step(st: RuntimeState, operand, kind: StepKind, thread: str, *items: tuple[str, "str | int"]) -> MicroStep:
+    return MicroStep(kind, thread, _payload(*items), st, operand)
 
 
 def _canonical(steps) -> list[MicroStep]:
@@ -512,19 +519,19 @@ def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep
     label = th.label()
     if not th.invoked:
         inv = th.local[0][1]
-        return [_step(StepKind.INIT_DO, label, ("occ", inv.brief()), ("state", dotted(th.state)))]
+        return [_step(st, th, StepKind.INIT_DO, label, ("occ", inv.brief()), ("state", dotted(th.state)))]
     prog = ctx.program(th.activity)
     steps: list[MicroStep] = []
     for nid in th.exec.strands:
         node = prog.node(nid)
         if node.kind != "accept":
-            steps.append(_step(StepKind.RUN_ACTION, label, ("node", nid), ("do", describe(node))))
+            steps.append(_step(st, (th, nid), StepKind.RUN_ACTION, label, ("node", nid), ("do", describe(node))))
         elif (occ := _routed(th, nid)) is not None:
             items = (("node", nid), ("do", describe(node)), ("occ", occ.brief()))
-            steps.append(_step(StepKind.RUN_ACTION, label, *items))
+            steps.append(_step(st, (th, nid), StepKind.RUN_ACTION, label, *items))
         elif _accepter_for(st, th.tid, nid) is None:
             items = (("node", nid), ("signals", "|".join(node.signals)))
-            steps.append(_step(StepKind.REGISTER_ACCEPT, label, *items))
+            steps.append(_step(st, (th, nid), StepKind.REGISTER_ACCEPT, label, *items))
         # else: registered and waiting; ConsumeDeferred is produced from
         # the accepter list, not from here
     return steps
@@ -541,20 +548,18 @@ _LEG_KIND = {
     "entry_behavior": StepKind.RUN_ENTRY_ACTION,
 }
 
-_PHASE_KINDS = frozenset(_LEG_KIND[p] for p in _PHASES)
 
-
-def _leg_steps(ctx: ModelIndex, leg: LegThread) -> list[MicroStep]:
+def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroStep]:
     label = leg.label()
     step = leg.current()
     kind = _LEG_KIND[step.kind]
     if step.kind not in _PHASES:
-        return [_step(kind, label, ("state", dotted(step.path)))]
+        return [_step(st, (leg, None), kind, label, ("state", dotted(step.path)))]
     assert leg.exec is not None
     prog = ctx.program(step.activity)
     where = ("transition", step.transition) if step.transition else ("state", dotted(step.path))
     about = (("activity", step.activity), where)
-    return [_step(kind, label, ("node", n), ("do", describe(prog.node(n))), *about) for n in leg.exec.strands]
+    return [_step(st, (leg, n), kind, label, ("node", n), ("do", describe(prog.node(n))), *about) for n in leg.exec.strands]
 
 
 _OPTION_KIND = {
@@ -565,18 +570,14 @@ _OPTION_KIND = {
 }
 
 
-def _accepter_label(option: tuple) -> str:
-    return "sm" if option[0] == "sm" else f"do{option[1]}@{option[2]}"
-
-
-def _option_step(occ: Occurrence, option: tuple) -> MicroStep:
-    """The step that commits one row of a pending dispatch decision."""
-    items = [("occ", occ.brief())]
-    if option[0] in ("sm", "do"):
-        items.append(("accepter", _accepter_label(option)))
+def _option_step(st: RuntimeState, option: tuple) -> MicroStep:
+    """The step that commits one row of the pending dispatch decision."""
+    items = [("occ", st.pending.occurrence.brief())]
     if option[0] == "sm":
-        items.append(("fired", ",".join(f"{r}:{n}" for r, n in option[1])))
-    return _step(_OPTION_KIND[option[0]], "sm", *items)
+        items += [("accepter", "sm"), ("fired", ",".join(f"{r}:{n}" for r, n in option[1]))]
+    elif option[0] == "do":
+        items.append(("accepter", f"do{option[1]}@{option[2]}"))
+    return _step(st, option, _OPTION_KIND[option[0]], "sm", *items)
 
 
 def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
@@ -585,7 +586,7 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
     environment and no runnable doActivity work."""
     # a pending dispatch decision is committed before anything else moves
     if st.pending is not None:
-        return _canonical(_option_step(st.pending.occurrence, o) for o in st.pending.options)
+        return _canonical(_option_step(st, o) for o in st.pending.options)
 
     steps = []
     for th in st.threads:
@@ -593,19 +594,19 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
             if not th.finished:
                 steps.extend(_do_steps(ctx, st, th))
         else:
-            steps.extend(_leg_steps(ctx, th))
+            steps.extend(_leg_steps(ctx, st, th))
 
     # deferred-pool drain by registered accepters, any time, also mid-RTC
     for acc in st.accepters:
         for occ in st.deferred:
             if occ.signal in acc.signals:
                 items = (("node", acc.node), ("occ", occ.brief()))
-                steps.append(_step(StepKind.CONSUME_DEFERRED, f"do{acc.tid}", *items))
+                steps.append(_step(st, (acc, occ), StepKind.CONSUME_DEFERRED, f"do{acc.tid}", *items))
                 break   # FIFO within the deferred pool
 
-    steps.extend(_step(StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
+    steps.extend(_step(st, occ, StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
     steps.extend(
-        _step(StepKind.GENERATE_COMPLETION, "sm", ("state", dotted(path)))
+        _step(st, path, StepKind.GENERATE_COMPLETION, "sm", ("state", dotted(path)))
         for path, status in st.active
         if status == "completing"
     )
@@ -614,7 +615,7 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
         # the completion pool goes first; either pool dispatches its oldest
         pool = st.queue_completion or st.queue_regular
         if pool:
-            steps.append(_step(StepKind.DISPATCH, "sm", ("occ", pool[0].brief())))
+            steps.append(_step(st, pool[0], StepKind.DISPATCH, "sm", ("occ", pool[0].brief())))
 
     return _canonical(steps)
 
@@ -623,7 +624,7 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
 
 
 class KernelError(Exception):
-    """A step was applied that is not enabled in the given state."""
+    """A step that is not enabled was applied, or an unknown signal injected."""
 
 
 def _spawn_regions(ctx: ModelIndex, st: RuntimeState, path: Path) -> RuntimeState:
@@ -649,88 +650,64 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
     return st
 
 
-def _find_occ(queue: tuple, brief: str):
-    return next((occ for occ in queue if occ.brief() == brief), None)
-
-
 def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeState, Record]:
-    """Applies one enabled micro-step, returning the successor state and the
-    trace record. Raises KernelError if the step is not applicable."""
-    pre = st
-    payload = dict(step.payload)
+    """Applies one micro-step, returning the successor state and the trace
+    record. A step is applicable iff `enabled_steps(ctx, st)` lists it.
+
+    A step that `enabled_steps` built for this very `st` acts on the operand
+    it carries. Any other step (built by hand, or enabled in another state)
+    is looked up by equality in `enabled_steps(ctx, st)`; KernelError if it
+    is not there. `inject` is the environment's entry, not an enabled step,
+    so an Inject step never applies here."""
+    if step.state is not st:
+        found = [s for s in enabled_steps(ctx, st) if s == step]
+        if not found:
+            raise KernelError(f"{step.key()} is not enabled")
+        step = found[0]
+    pre, arg = st, step.operand
     obs: Optional[tuple[str, str]] = None
     extra: list[tuple[str, "str | int"]] = []
 
     if step.kind is StepKind.DISPATCH:
-        if st.rtc_active() or st.completion_pending() or st.pending is not None:
-            raise KernelError("dispatch while busy")
-        brief = payload["occ"]
-        occ = _find_occ(st.queue_completion, brief)
-        if occ is not None:
-            st = replace(st, queue_completion=_without(st.queue_completion, occ))
+        if isinstance(arg, CompletionOccurrence):
+            st = replace(st, queue_completion=_without(st.queue_completion, arg))
         else:
-            occ = _find_occ(st.queue_regular, brief)
-            if occ is None:
-                raise KernelError(f"no such occurrence {brief}")
-            st = replace(st, queue_regular=_without(st.queue_regular, occ))
-        options = analyze_dispatch(ctx, st, occ)
-        st = replace(st, pending=PendingDispatch(occ, options))
+            st = replace(st, queue_regular=_without(st.queue_regular, arg))
+        options = analyze_dispatch(ctx, st, arg)
+        st = replace(st, pending=PendingDispatch(arg, options))
         extra.append(("options", len(options)))
 
     elif step.kind in (StepKind.CHOOSE_ACCEPTER, StepKind.DEFER, StepKind.DISCARD):
-        if st.pending is None:
-            raise KernelError("no pending dispatch")
         occ = st.pending.occurrence
-        options = st.pending.options
         st = replace(st, pending=None)
-        if step.kind is StepKind.DEFER:
-            if ("defer",) not in options:
-                raise KernelError("defer not offered")
-            assert isinstance(occ, SignalOccurrence)
+        if arg[0] == "defer":
             st = replace(st, deferred=st.deferred + (occ,))
-        elif step.kind is StepKind.DISCARD:
-            if ("discard",) not in options:
-                raise KernelError("discard not offered")
-        elif payload["accepter"] == "sm":
-            chosen = next((o for o in options if o[0] == "sm"), None)
-            if chosen is None:
-                raise KernelError("sm not offered")
+        elif arg[0] == "sm":
             st = replace(st, rtc_index=st.rtc_index + 1)
-            for tid in chosen[1]:
+            for tid in arg[1]:
                 leg = _leg_for_transition(ctx, st, tid, st.next_tid)
                 st = replace(st.with_thread(leg), next_tid=st.next_tid + 1)
                 # a transition leg can be empty (internal, no effect): it
                 # still counts as the event's run-to-completion step
                 if leg.done:
                     st = st.without_thread(leg.tid)
-        else:
-            want = payload["accepter"]
-            chosen = next((o for o in options if o[0] == "do" and _accepter_label(o) == want), None)
-            if chosen is None:
-                raise KernelError(f"accepter {want} not offered")
-            _, tid, node = chosen
+        elif arg[0] == "do":
+            _, tid, node = arg
             th = st.thread(tid)
-            assert isinstance(th, DoThread)
             st = st.with_thread(replace(th, local=th.local + ((node, occ),)))
             st = _without_accepters(st, tid, node)
+        # "discard": the occurrence is dropped
 
     elif step.kind is StepKind.INIT_DO:
-        th = _thread_by_label(st, step.thread)
-        assert isinstance(th, DoThread) and not th.invoked
-        entry = ctx.prog_entry(th.activity)
+        entry = ctx.prog_entry(arg.activity)
         strands = (entry,) if entry is not None else ()
-        st = st.with_thread(replace(th, invoked=True, local=(), exec=ActivityExec(strands)))
+        st = st.with_thread(replace(arg, invoked=True, local=(), exec=ActivityExec(strands)))
 
     elif step.kind is StepKind.RUN_ACTION:
-        th = _thread_by_label(st, step.thread)
-        assert isinstance(th, DoThread)
-        nid = payload["node"]
+        th, nid = arg
         prog = ctx.program(th.activity)
         node = prog.node(nid)
         if node.kind == "accept":
-            occ = _routed(th, nid)
-            if occ is None:
-                raise KernelError("accept without routed occurrence")
             th = replace(th, local=tuple(e for e in th.local if e[0] != nid))
         st, obs = _exec_node(ctx, st, prog, nid, th.state[:-1])
         ex = _advance_exec(prog, th.exec, nid)
@@ -741,56 +718,34 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         st = st.with_thread(th)
 
     elif step.kind is StepKind.REGISTER_ACCEPT:
-        th = _thread_by_label(st, step.thread)
-        assert isinstance(th, DoThread)
-        nid = payload["node"]
-        node = ctx.program(th.activity).node(nid)
-        acc = Accepter(th.tid, nid, node.signals)
+        th, nid = arg
+        acc = Accepter(th.tid, nid, ctx.program(th.activity).node(nid).signals)
         st = replace(st, accepters=tuple(sorted(st.accepters + (acc,), key=lambda a: (a.tid, a.node))))
 
     elif step.kind is StepKind.CONSUME_DEFERRED:
-        th = _thread_by_label(st, step.thread)
-        assert isinstance(th, DoThread)
-        nid = payload["node"]
-        occ = _find_occ(st.deferred, payload["occ"])
-        if occ is None or _accepter_for(st, th.tid, nid) is None:
-            raise KernelError("stale deferred consumption")
-        st = _without_accepters(replace(st, deferred=_without(st.deferred, occ)), th.tid, nid)
-        st = st.with_thread(replace(th, local=th.local + ((nid, occ),)))
+        acc, occ = arg
+        th = st.thread(acc.tid)
+        st = _without_accepters(replace(st, deferred=_without(st.deferred, occ)), acc.tid, acc.node)
+        st = st.with_thread(replace(th, local=th.local + ((acc.node, occ),)))
 
     elif step.kind is StepKind.DELIVER:
-        occ = _find_occ(st.in_flight, payload["occ"])
-        if occ is None:
-            raise KernelError("nothing in flight")
-        st = replace(st, in_flight=_without(st.in_flight, occ), queue_regular=st.queue_regular + (occ,))
+        st = replace(st, in_flight=_without(st.in_flight, arg), queue_regular=st.queue_regular + (arg,))
 
     elif step.kind is StepKind.GENERATE_COMPLETION:
-        path = tuple(payload["state"].split("."))
-        if st.status(path) != "completing":
-            raise KernelError("state not completing")
-        occ = CompletionOccurrence(path, st.next_seq)
+        occ = CompletionOccurrence(arg, st.next_seq)
         st = replace(
-            st.with_status(path, "completed"),
+            st.with_status(arg, "completed"),
             queue_completion=st.queue_completion + (occ,),
             next_seq=st.next_seq + 1,
         )
         extra.append(("occ", occ.brief()))
 
-    elif step.kind is StepKind.INJECT:
-        occ = SignalOccurrence(payload["signal"], st.next_seq)
-        st = replace(st, queue_regular=st.queue_regular + (occ,), next_seq=st.next_seq + 1)
-        extra.append(("occ", occ.brief()))
-
     else:
-        # leg-owned steps
-        leg = _thread_by_label(st, step.thread)
-        if not isinstance(leg, LegThread):
-            raise KernelError(f"thread {step.thread} is not a leg")
+        # leg-owned steps; the node is set for a step of a behavior run
+        leg, nid = arg
         cur = leg.current()
 
-        if step.kind in _PHASE_KINDS:
-            assert leg.exec is not None
-            nid = payload["node"]
+        if nid is not None:
             prog = ctx.program(cur.activity)
             # effect phases carry the region path directly; entry and exit
             # behaviors carry the vertex path, whose parent is the region
@@ -835,48 +790,37 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
                 status = "entering" if _entry_program(ctx, v) else "entry_done"
             st = _advance_leg(ctx, st.with_status(cur.path, status), leg)
 
-        elif step.kind is StepKind.START_DO:
+        else:  # StartDoActivity
             v = ctx.vertex[cur.path]
-            assert isinstance(v, M.State) and v.do_activity
             inv = InvocationOccurrence(st.next_seq)
             th = DoThread(st.next_tid, cur.path, v.do_activity, invoked=False, local=((-1, inv),))
             st = replace(st.with_thread(th), next_seq=st.next_seq + 1, next_tid=st.next_tid + 1)
-            extra.append(("thread", th.label()))
-            extra.append(("activity", v.do_activity))
+            extra += [("thread", th.label()), ("activity", v.do_activity)]
             st = _advance_leg(ctx, st, leg)
 
-        else:
-            raise KernelError(f"unhandled step kind {step.kind}")
+    return _render(ctx, pre, st, step, obs, extra)
 
+
+def _render(
+    ctx: ModelIndex, pre: RuntimeState, st: RuntimeState, step: MicroStep, obs, extra
+) -> tuple[RuntimeState, Record]:
+    """Settles completions in the successor `st` of `pre` and renders the
+    record of `step`, shared by `apply` and `inject`."""
     st = _refresh_completions(ctx, st)
-
+    # an "sm" choice opens a run-to-completion step even when all its legs
+    # are empty; otherwise a step is inside one while some leg is alive
+    opened = step.kind is StepKind.CHOOSE_ACCEPTER and step.operand[0] == "sm"
+    in_rtc = opened or any(isinstance(t, LegThread) for t in pre.threads + st.threads)
     record = Record(
         thread=step.thread,
         kind=step.kind.value,
         payload=_payload(*step.payload, *extra),
         pool=_pool_digest(st),
-        rtc=_rtc_tag(pre, st, step),
+        rtc=st.rtc_index if in_rtc else None,
         obs=obs,
         step=step.key(),
     )
     return st, record
-
-
-def _thread_by_label(st: RuntimeState, label: str) -> Thread:
-    for t in st.threads:
-        if t.label() == label:
-            return t
-    raise KernelError(f"no thread {label}")
-
-
-def _rtc_tag(pre: RuntimeState, post: RuntimeState, step: MicroStep) -> Optional[int]:
-    if step.kind is StepKind.CHOOSE_ACCEPTER and dict(step.payload).get("accepter") == "sm":
-        return post.rtc_index
-    pre_legs = any(isinstance(t, LegThread) for t in pre.threads)
-    post_legs = any(isinstance(t, LegThread) for t in post.threads)
-    if pre_legs or post_legs:
-        return post.rtc_index
-    return None
 
 
 # --- entry points ---------------------------------------------------------
@@ -894,11 +838,12 @@ def boot(ctx: ModelIndex) -> RuntimeState:
     return replace(st, next_tid=len(ctx.root_regions))
 
 
-def inject_step(signal: str) -> MicroStep:
-    return _step(StepKind.INJECT, "env", ("signal", signal))
-
-
 def inject(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[RuntimeState, Record]:
+    """The environment's entry: `signal` joins the regular pool. Not an
+    enabled step; `run` and `explore` call it at stable points only."""
     if signal not in ctx.model.signals:
         raise KernelError(f"unknown signal {signal}")
-    return apply(ctx, st, inject_step(signal))
+    occ = SignalOccurrence(signal, st.next_seq)
+    post = replace(st, queue_regular=st.queue_regular + (occ,), next_seq=st.next_seq + 1)
+    step = MicroStep(StepKind.INJECT, "env", (("signal", signal),))
+    return _render(ctx, st, post, step, None, [("occ", occ.brief())])

@@ -8,7 +8,7 @@ here as separate steps, otherwise the explorer cannot see the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -45,6 +45,10 @@ class MicroStep:
     kind: StepKind
     thread: str
     payload: Payload = ()
+    # set by `enabled_steps`, outside the step's identity: the state the
+    # step was enabled in, and what `apply` acts on there
+    state: object = field(default=None, compare=False, repr=False)
+    operand: object = field(default=None, compare=False, repr=False)
 
     def key(self) -> str:
         """Stable identity used by replay scripts and trace records."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 
@@ -174,11 +175,14 @@ class MachineModel:
     activities: tuple[Activity, ...]
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
+    @cached_property
+    def _activity_by_name(self) -> dict[str, Activity]:
+        # built once (the model is frozen); reversed, so that the first of
+        # duplicate definitions wins, which is the one `validate` reads
+        return {a.name: a for a in reversed(self.activities)}
+
     def activity(self, name: str) -> Activity:
-        for a in self.activities:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        return self._activity_by_name[name]
 
 
 # --- classification ---------------------------------------------------------

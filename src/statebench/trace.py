@@ -100,23 +100,28 @@ class Trace:
 
 
 def from_json(text: str) -> Trace:
+    """The trace in a structured rendering. ValueError for any text that is
+    not a well-formed trace document."""
     doc = json.loads(text)
-    if doc.get("format") != "statebench-trace":
+    if not isinstance(doc, dict) or doc.get("format") != "statebench-trace":
         raise ValueError("not a trace document")
-    records = tuple(
-        Record(
-            thread=r["thread"],
-            kind=r["kind"],
-            payload=tuple(sorted((k, v) for k, v in r["payload"].items())),
-            pool=r["pool"],
-            rtc=r["rtc"],
-            obs=tuple(r["obs"]) if r["obs"] else None,
-            step=r["step"],
+    try:
+        records = tuple(
+            Record(
+                thread=r["thread"],
+                kind=r["kind"],
+                payload=tuple(sorted((k, v) for k, v in r["payload"].items())),
+                pool=r["pool"],
+                rtc=r["rtc"],
+                obs=tuple(r["obs"]) if r["obs"] else None,
+                step=r["step"],
+            )
+            for r in doc["records"]
         )
-        for r in doc["records"]
-    )
-    meta = tuple(sorted(doc.get("meta", {}).items()))
-    return Trace(records, doc["model"], doc["scenario"], doc["strategy"], doc["seed"], meta)
+        meta = tuple(sorted(doc.get("meta", {}).items()))
+        return Trace(records, doc["model"], doc["scenario"], doc["strategy"], doc["seed"], meta)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed trace document ({type(exc).__name__}: {exc})") from None
 
 
 def first_divergence(a: Trace, b: Trace) -> Optional[int]:

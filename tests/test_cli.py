@@ -141,6 +141,24 @@ def test_run_with_script_strategy(tmp_path, capsys):
     assert code == OK
 
 
+@pytest.mark.parametrize("text", ["not json at all", '{"format":"nope"}', '{"format":"statebench-trace"}'])
+@pytest.mark.parametrize("how", ["replay", "script"])
+def test_bad_trace_file_is_an_input_error(tmp_path, capsys, text, how):
+    trace = tmp_path / "t.json"
+    trace.write_text(text)
+    model, scn = fx("measurement.psm"), fx("measurement.scn")
+    argv = ("replay", model, scn, str(trace)) if how == "replay" else ("run", model, scn, "--strategy", f"script:{trace}")
+    code, _, err = invoke(capsys, *argv)
+    assert code == PARSE
+    assert len(err.splitlines()) == 1 and str(trace) in err
+
+
+def test_unknown_strategy_is_an_input_error(capsys):
+    code, _, err = invoke(capsys, "run", fx("measurement.psm"), fx("measurement.scn"), "--strategy", "bogus")
+    assert code == PARSE
+    assert err.strip() == "unknown strategy 'bogus'"
+
+
 # --- explore ---------------------------------------------------------------------
 
 

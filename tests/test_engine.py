@@ -21,7 +21,8 @@ from statebench.engine.driver import (
     resolve_state,
     run,
 )
-from statebench.engine.kernel import KernelError, build_index
+from statebench.engine.kernel import KernelError, apply, boot, build_index, enabled_steps
+from statebench.engine.steps import MicroStep, StepKind
 from statebench.parser import parse_model, parse_scenario
 
 
@@ -343,6 +344,25 @@ def test_inject_unknown_signal_rejected(measurement):
 
     with pytest.raises(KernelError):
         inject(ctx, boot(ctx), "nonsense")
+
+
+# --- applicability ------------------------------------------------------------------
+
+
+def test_apply_takes_exactly_the_enabled_steps():
+    """A step applies iff `enabled_steps` lists it: a hand-built step that is
+    not listed, and a listed step applied to another state, both raise; a
+    hand-built step equal to a listed one applies exactly as that one does."""
+    ctx = build_index(machine("do-simple"))
+    st = boot(ctx)
+    (enter,) = enabled_steps(ctx, st)
+    assert enter.key() == "EnterState|leg0|state=main.S1"
+    with pytest.raises(KernelError):
+        apply(ctx, st, MicroStep(StepKind.EXIT_STATE, "leg0", (("state", "nowhere"),)))
+    after = apply(ctx, st, enter)
+    with pytest.raises(KernelError):
+        apply(ctx, after[0], enter)
+    assert apply(ctx, st, MicroStep(StepKind.ENTER_STATE, "leg0", (("state", "main.S1"),))) == after
 
 
 # --- scenario evaluation ----------------------------------------------------------

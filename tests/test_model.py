@@ -108,6 +108,9 @@ def test_entry_behavior_must_not_accept():
     waity = M.Activity("waity", (M.AcceptEvent(("e1",)),))
     r = _region([M.State("S1", entry="waity")], [])
     assert "AcceptInBehavior" in codes(_machine((r,), activities=[waity]))
+    # of two definitions the first counts, as for every other lookup
+    calm = M.Activity("waity", (M.Task("t"),))
+    assert {"AcceptInBehavior", "DuplicateActivity"} <= set(codes(_machine((r,), activities=[waity, calm])))
 
 
 def test_do_behavior_may_accept():

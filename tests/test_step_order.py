@@ -49,7 +49,10 @@ def sensors(n: int) -> str:
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Every list `enabled_steps` returns, checked for canonical order."""
+    """Every list `enabled_steps` returns, checked for canonical order. One
+    list per call, so the tests also count the calls: the explorer makes one
+    per node and a run one per applied step plus the last, and `apply` makes
+    none for a step it was handed by `enabled_steps`."""
     seen: list[list[str]] = []
     inner = kernel.enabled_steps
 
@@ -67,8 +70,8 @@ def checked(monkeypatch):
 @pytest.mark.parametrize("model_name,scn_name", PAIRS)
 def test_fixture_walks_are_canonical(model_name, scn_name, checked):
     m = load_model(str(FIXTURES / f"{model_name}.psm"))
-    explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m))
-    assert checked
+    ts = explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m))
+    assert checked and len(checked) == ts.stats.nodes
 
 
 def test_random_runs_across_thread_id_ten_are_canonical(checked):
@@ -79,7 +82,9 @@ def test_random_runs_across_thread_id_ten_are_canonical(checked):
         m,
     ).scenario
     for seed in range(20):
-        run(m, scn, RandomStrategy(seed))
+        calls = len(checked)
+        records = run(m, scn, RandomStrategy(seed)).trace.records
+        assert len(checked) - calls == sum(r.kind != "Inject" for r in records) + 1
 
     def straddles(threads: list[str]) -> bool:
         """Some do (or leg) threads with ids below 10 and some at 10 or above."""
