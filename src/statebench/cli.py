@@ -369,6 +369,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, InputError) as exc:
         print(str(exc), file=sys.stderr)
         return PARSE
+    except MemoryError:  # the frames that held the memory are gone by now
+        print("out of memory: the budget is exceeded", file=sys.stderr)
+        return BUDGET
 
 
 if __name__ == "__main__":

@@ -125,7 +125,8 @@ class ModelIndex:
 
 def build_index(model: M.MachineModel) -> ModelIndex:
     ctx = ModelIndex(model)
-    ctx.programs = {a.name: compile_activity(a) for a in model.activities}
+    # the first of duplicate definitions, as `validate` and `lint` read it
+    ctx.programs = {a.name: compile_activity(model.activity(a.name)) for a in model.activities}
 
     def walk_region(region: M.Region, prefix: Path) -> None:
         rpath = prefix + (region.name,)

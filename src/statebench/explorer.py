@@ -15,6 +15,14 @@ The step bound counts records per schedule, forced scenario injections
 included (they sit inside edge record lists but never fork the DAG), as
 `run` does; like `run`, the bounds cut only where a step is still enabled.
 
+An edge holds its label and its child. The label is the edge's records (the
+step's record, then any forced injections) and their observables. Labels
+repeat across the DAG far more than nodes do, so each walk keeps one
+`(records, obs)` pair per distinct record list, which every edge with that
+list shares, and one tuple per distinct obs. The sharing is exact (equal
+values are interchangeable), and its tables are local to the walk, so no
+cache outlives the result.
+
 Every query runs on three generic pieces, all iterative, so no depth of the
 DAG can exhaust the interpreter's stack:
 
@@ -69,14 +77,14 @@ class ExploreBounds:
     max_pool: int = 64             # combined occupancy of all pools
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     records: tuple[Record, ...]    # the step's record plus any forced injections
     child: int
     obs: tuple[tuple[str, str], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     edges: tuple[Edge, ...] = ()   # none at leaves: terminal, deadlocked, truncated
     terminal: bool = False         # no enabled steps, scenario finished
@@ -376,6 +384,10 @@ def explore(
     nodes: list[Node] = []
     order: list[int] = []
     keymap: dict[tuple, int] = {}
+    # the edge labels of this walk: one shared (records, obs) pair per
+    # distinct record list, and one shared tuple per distinct obs
+    labels: dict[tuple[Record, ...], tuple[tuple[Record, ...], tuple[tuple[str, str], ...]]] = {}
+    observed: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
     # frames of the nodes being expanded: node id, state, scenario index,
@@ -420,7 +432,12 @@ def explore(
         recs = [rec]
         st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
         child = visit(st3, idx2, depth + len(recs))
-        edges.append(Edge(tuple(recs), child, tuple(r.obs for r in recs if r.obs is not None)))
+        records = tuple(recs)
+        label = labels.get(records)
+        if label is None:
+            obs = tuple(r.obs for r in recs if r.obs is not None)
+            label = labels[records] = (records, observed.setdefault(obs, obs))
+        edges.append(Edge(label[0], child, label[1]))
         stats.edges += 1
 
     result = TraceSet(

@@ -224,6 +224,16 @@ def test_explore_deep_step_bound_exits_budget():
     assert proc.returncode == BUDGET, proc.stderr
 
 
+def test_explore_out_of_memory_exits_budget(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("statebench.cli.explore", exhausted)
+    code, _, err = invoke(capsys, "explore", fx("do-simple.psm"), fx("do-simple.scn"))
+    assert code == BUDGET
+    assert len(err.splitlines()) == 1
+
+
 def test_explore_default_bounds_match_the_library(capsys):
     # a completion self-loop runs until the step bound, so the node count
     # shows where each side cuts

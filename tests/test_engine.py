@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import machine, scenario_for
+from statebench import model as M
 from statebench.engine.driver import (
     BudgetExceeded,
     FirstStrategy,
@@ -363,6 +364,24 @@ def test_apply_takes_exactly_the_enabled_steps():
     with pytest.raises(KernelError):
         apply(ctx, after[0], enter)
     assert apply(ctx, st, MicroStep(StepKind.ENTER_STATE, "leg0", (("state", "main.S1"),))) == after
+
+
+def test_duplicate_activity_runs_its_first_definition():
+    """`validate` reports a duplicate activity name and reads the first body;
+    the kernel must run that same body."""
+    init = M.Transition("TInit", "", "S1", M.TransitionKind.EXTERNAL, is_initial=True)
+    region = M.Region("main", (M.InitialPseudostate(), M.State("S1", do_activity="w")), (init,))
+    m = M.MachineModel(
+        name="Dup",
+        signals=("x", "y"),
+        variables=(),
+        regions=(region,),
+        activities=(
+            M.Activity("w", (M.SendSignal("x", to_env=True),)),
+            M.Activity("w", (M.SendSignal("y", to_env=True),)),
+        ),
+    )
+    assert run(m).observables == ("x",)
 
 
 # --- scenario evaluation ----------------------------------------------------------
