@@ -29,9 +29,9 @@ DAG can exhaust the interpreter's stack:
 - the builder, `explore`: a depth-first walk on an explicit stack that
   numbers nodes in preorder and lists them children-before-parents in
   `TraceSet.order` as they finish;
-- `TraceSet._fold(start, step)`: the exact number of complete traces that
-  end in each monitor state, one forward pass over the product of the DAG
-  and the monitor's states that frees each node's row once it is read;
+- `_fold(nodes, order, start, step)`: the exact number of complete traces
+  that end in each monitor state, one forward pass over the product of a
+  DAG and the monitor's states that frees each node's row once it is read;
 - `TraceSet._accepted(monitor)`: the complete record paths a monitor
   accepts, in canonical edge order (each node's edges in the order the
   kernel enabled them). A (node, state) pair that led to no accepted path is
@@ -43,10 +43,20 @@ edge and every path through it), and `accept(state)`, judged at a terminal
 node. `_count(monitor)` sums the fold over the accepted states. Expectations,
 the discard count and class witnesses are monitors, and a witness or
 counterexample is always the first accepted path in canonical edge order.
-`partition` is a fold too: its monitor state is the id of a node in the trie
-of observable prefixes. DAG nodes hold no runtime state, so
-`eventually-active S` is judged from the records: S becomes active exactly
-on an `EnterState` record whose `state` is S's dotted path.
+DAG nodes hold no runtime state, so `eventually-active S` is judged from the
+records: S becomes active exactly on an `EnterState` record whose `state` is
+S's dotted path.
+
+`partition` is a fold too, over the DAG's observational quotient, and its
+monitor state is the id of a node in the trie of observable prefixes. The
+quotient merges DAG nodes whose complete traces below emit equal multisets
+of observable sequences. A class is keyed by whether the node is terminal
+and by the sorted (obs, child class) pairs of its edges, computed children
+first: nodes with equal keys have equal multisets by induction, and a node
+whose only way on is one silent edge has its child's. Merging is exact, so
+the fold over the quotient counts what the fold over the DAG would, with
+far fewer nodes and edges (`s3`: 3,381 classes for 38,674 nodes). Every
+query that reads records (counts, flags, witnesses) runs on the DAG.
 
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
@@ -59,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 from . import model as M
 from . import scenario as S
@@ -147,6 +157,31 @@ def _enters(e: Edge, state: str) -> bool:
     return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in e.records)
 
 
+def _fold(
+    nodes: Sequence[Node], order: Sequence[int], start: Any, step: Callable[[Any, Edge], Any]
+) -> dict[Any, int]:
+    """Exact number of complete paths through the DAG `nodes` that end in
+    each monitor state. `order` lists node ids children before parents and
+    the root last, so in reverse each node's row of (monitor state -> paths
+    from the root) is whole when it is read. An empty DAG has no path."""
+    rows: dict[int, dict[Any, int]] = {order[-1]: {start: 1}} if order else {}
+    ends: dict[Any, int] = {}
+    for nid in reversed(order):
+        row = rows.pop(nid)  # the root's, or filled in by an edge into the node
+        node = nodes[nid]
+        if node.terminal:
+            for s, cnt in row.items():
+                ends[s] = ends.get(s, 0) + cnt
+            continue
+        for e in node.edges:  # deadlocked and truncated nodes have none
+            below = rows.setdefault(e.child, {})
+            for s, cnt in row.items():
+                s2 = step(s, e)
+                if s2 is not None:
+                    below[s2] = below.get(s2, 0) + cnt
+    return ends
+
+
 class TraceSet:
     """The result of one exploration: a trace DAG plus the queries the rest
     of the toolchain needs (counts, classes, witnesses, expectation checks).
@@ -176,31 +211,11 @@ class TraceSet:
 
     # -- the generic queries -------------------------------------------------
 
-    def _fold(self, start: Any, step: Callable[[Any, Edge], Any]) -> dict[Any, int]:
-        """Exact number of complete traces that end in each monitor state.
-        Parents come before children in reversed `order`, so each node's row
-        of (monitor state -> paths from the root) is whole when it is read."""
-        rows: dict[int, dict[Any, int]] = {self.root: {start: 1}}
-        ends: dict[Any, int] = {}
-        for nid in reversed(self.order):
-            row = rows.pop(nid)  # the root's, or filled in by an edge into the node
-            node = self.nodes[nid]
-            if node.terminal:
-                for s, cnt in row.items():
-                    ends[s] = ends.get(s, 0) + cnt
-                continue
-            for e in node.edges:  # deadlocked and truncated nodes have none
-                below = rows.setdefault(e.child, {})
-                for s, cnt in row.items():
-                    s2 = step(s, e)
-                    if s2 is not None:
-                        below[s2] = below.get(s2, 0) + cnt
-        return ends
-
     def _count(self, monitor: Monitor) -> int:
         """Exact number of complete traces `monitor` accepts."""
         start, step, accept = monitor
-        return sum(cnt for s, cnt in self._fold(start, step).items() if accept(s))
+        ends = _fold(self.nodes, self.order, start, step)
+        return sum(cnt for s, cnt in ends.items() if accept(s))
 
     def _accepted(self, monitor: Monitor) -> Iterator[tuple[Record, ...]]:
         """Record paths of the complete traces `monitor` accepts, in
@@ -249,26 +264,64 @@ class TraceSet:
 
     # -- observable classes --------------------------------------------------
 
+    def _quotient(self) -> list[Node]:
+        """The DAG's observational quotient (see the module docstring): one
+        node per class, numbered children first with the root's class last;
+        each edge keeps only its obs and repeats for its multiplicity. Empty
+        when no complete trace exists."""
+        cls: dict[int, int] = {}  # DAG node id -> class id
+        ids: dict[tuple, int] = {}  # class key -> class id
+        quot: list[Node] = []
+        for nid in self.order:
+            node = self.nodes[nid]
+            pairs = sorted((e.obs, cls[e.child]) for e in node.edges if e.child in cls)
+            if len(pairs) == 1 and not pairs[0][0]:  # one silent way on: the child's future
+                cls[nid] = pairs[0][1]
+                continue
+            if not (pairs or node.terminal):  # no complete trace below: no class
+                continue
+            key = (node.terminal, tuple(pairs))
+            c = ids.get(key)
+            if c is None:
+                c = ids[key] = len(quot)
+                quot.append(Node(tuple(Edge((), child, obs) for obs, child in pairs), node.terminal))
+            cls[nid] = c
+        root = cls.get(self.root)
+        return [] if root is None else quot[: root + 1]  # later classes are not below the root
+
     @cached_property
     def partition(self) -> dict[tuple[tuple[str, str], ...], int]:
-        """Exact count of complete traces per observable class: a fold whose
-        state is the id of a node in the trie of observable prefixes (an int
-        id hashes at no cost; a prefix tuple rehashes all of its items)."""
-        prefixes: list[tuple[tuple[str, str], ...]] = [()]
+        """Exact count of complete traces per observable class: a fold over
+        the observational quotient whose state is the id of a node in the
+        trie of observable prefixes (an int id hashes at no cost; a prefix
+        tuple rehashes all of its items). Each id keeps only its parent id
+        and last item; a prefix is spelled out only for the ids that end a
+        complete trace."""
+        links: list[tuple[int, tuple[str, str]]] = [(0, ("", ""))]  # id -> (parent id, item); 0 is ()
         ids: dict[tuple[int, tuple[str, str]], int] = {}
 
         def step(pid: int, e: Edge) -> int:
-            if not e.obs:  # most edges: no loop to set up
+            if not e.obs:  # most quotient edges: no loop to set up
                 return pid
             for o in e.obs:
-                nxt = ids.get((pid, o))
+                link = (pid, o)
+                nxt = ids.get(link)
                 if nxt is None:
-                    nxt = ids[pid, o] = len(prefixes)
-                    prefixes.append(prefixes[pid] + (o,))
+                    nxt = ids[link] = len(links)
+                    links.append(link)
                 pid = nxt
             return pid
 
-        return dict(sorted((prefixes[pid], cnt) for pid, cnt in self._fold(0, step).items()))
+        def prefix(pid: int) -> tuple[tuple[str, str], ...]:
+            items = []
+            while pid:
+                pid, o = links[pid]
+                items.append(o)
+            return tuple(reversed(items))
+
+        quot = self._quotient()
+        ends = _fold(quot, range(len(quot)), 0, step)
+        return dict(sorted((prefix(pid), cnt) for pid, cnt in ends.items()))
 
     def signal_partition(self) -> dict[tuple[str, ...], int]:
         """Classes keyed by signal sequence only (region dropped)."""

@@ -232,6 +232,9 @@ def test_bounded_pruned_and_unpruned_agree(name, scn_ref, bounds):
     full = explore(m, scn, bounds=bounds, prune=False)
     assert pruned.total == full.total
     assert pruned.partition == full.partition
+    # both partitions fold over a quotient; the tree's paths do not
+    paths = complete_paths(full, full.root, full.root_records)
+    assert Counter(Trace(p).observables() for p in paths) == pruned.partition
     assert pruned.stats.discard_traces == full.stats.discard_traces
     assert [verdict_json(v) for v in pruned.check_all()] == [
         verdict_json(v) for v in full.check_all()
@@ -440,6 +443,35 @@ def s2():
     gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"))
     m = parse_model(gen["machine_text"](2)).model
     return build_index(m), parse_scenario(gen["scenario_text"](2), m).scenario
+
+
+def test_partition_folds_over_a_smaller_quotient(s2):
+    # the reference: a forward fold over the whole DAG whose monitor state is
+    # the observable prefix itself
+    ts = explore(*s2)
+    rows = {ts.root: Counter({(): 1})}
+    want = Counter()
+    for nid in reversed(ts.order):
+        row = rows.pop(nid)
+        if ts.nodes[nid].terminal:
+            want.update(row)
+        for e in ts.nodes[nid].edges:
+            below = rows.setdefault(e.child, Counter())
+            for seq, cnt in row.items():
+                below[seq + e.obs] += cnt
+    assert ts.partition == dict(sorted(want.items()))
+    assert sum(ts.partition.values()) == ts.total
+    quot = ts._quotient()
+    assert (len(quot), len(ts.nodes)) == (265, 885)
+    assert all(e.records == () for node in quot for e in node.edges)
+
+
+def test_no_complete_trace_gives_an_empty_quotient():
+    ts = explored("do-simple", bounds=ExploreBounds(max_micro_steps=2))
+    assert (ts.total, ts.stats.truncated) == (0, 1)
+    assert ts._quotient() == []
+    assert ts.partition == {}
+    assert ts.traces == ()
 
 
 def test_equal_edge_labels_are_shared(s2):
