@@ -158,11 +158,7 @@ def cmd_run(args) -> int:
 
 def cmd_explore(args) -> int:
     model, scenario = _load(args)
-    bounds = ExploreBounds(
-        max_micro_steps=args.max_steps,
-        max_traces=args.max_traces,
-        max_pool=args.max_pool,
-    )
+    bounds = ExploreBounds(max_micro_steps=args.max_steps, max_pool=args.max_pool)
     ts = explore(model, scenario, bounds, prune=not args.no_prune)
     verdicts = ts.check_all()
 
@@ -299,9 +295,16 @@ def cmd_replay(args) -> int:
 # --- entry -------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser, max_steps: int = 2000, max_pool: int = 64) -> None:
-    p.add_argument("--max-steps", type=int, default=max_steps, help="records per schedule, injections included")
-    p.add_argument("--max-pool", type=int, default=max_pool, help="event pool size bound")
+    p.add_argument("--max-steps", type=non_negative_int, default=max_steps, help="records per schedule, injections included")
+    p.add_argument("--max-pool", type=non_negative_int, default=max_pool, help="event pool size bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("scenario")
     bounds = ExploreBounds()
-    p.add_argument(
-        "--max-traces", type=int, default=bounds.max_traces,
-        help="cap on materialized traces, then on class witnesses",
-    )
     p.add_argument("--no-prune", action="store_true", help="disable state memoization")
     p.add_argument("--classes", action="store_true", help="list every signal class")
     p.add_argument("--format", choices=("text", "structured"), default="text")

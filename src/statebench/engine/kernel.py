@@ -57,7 +57,7 @@ blocks dispatching entirely, so no regular event can overtake it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .. import model as M
@@ -78,6 +78,7 @@ from .state import (
     Path,
     PendingDispatch,
     RuntimeState,
+    _evolve,
     dotted,
 )
 from .steps import MicroStep, StepKind, sort_group
@@ -182,19 +183,19 @@ def _without(queue: tuple, occ: Occurrence) -> tuple:
 def _without_accepters(st: RuntimeState, tid: int, node: Optional[int] = None) -> RuntimeState:
     """Drops thread `tid`'s accepters, or only the one parked at `node`."""
     kept = tuple(a for a in st.accepters if a.tid != tid or node not in (None, a.node))
-    return replace(st, accepters=kept)
+    return _evolve(st, accepters=kept)
 
 
 def _pool_digest(st: RuntimeState) -> str:
-    text = ";".join(
-        (
-            ",".join(o.brief() for o in st.queue_completion),
-            ",".join(o.brief() for o in st.queue_regular),
-            ",".join(o.brief() for o in st.deferred),
-            ",".join(o.brief() for o in st.in_flight),
-        )
-    )
-    return hashlib.sha1(text.encode()).hexdigest()[:10]
+    """The records' digest of the four pools. `st` keeps it next to the
+    pools it was taken from, and `_evolve` copies both into a successor,
+    which reuses the digest while its pools are still equal."""
+    pools = (st.queue_completion, st.queue_regular, st.deferred, st.in_flight)
+    kept = st.__dict__.get("_pool_digest")
+    if kept is None or kept[0] != pools:
+        text = ";".join(",".join(o.brief() for o in pool) for pool in pools)
+        kept = st.__dict__["_pool_digest"] = (pools, hashlib.sha1(text.encode()).hexdigest()[:10])
+    return kept[1]
 
 
 def _eval_term(term: Union[str, int], vars_: dict[str, int]) -> int:
@@ -314,7 +315,7 @@ def _leg_prepare(ctx: ModelIndex, leg: LegThread) -> LegThread:
     step = leg.current()
     if step.kind in _PHASES:
         entry = ctx.prog_entry(step.activity)
-        return replace(leg, exec=ActivityExec((entry,)))
+        return _evolve(leg, exec=ActivityExec((entry,)))
     return leg
 
 
@@ -372,7 +373,7 @@ def _exec_node(
             return st, (node.signal, dotted(region))
         occ = SignalOccurrence(node.signal, st.next_seq)
         return (
-            replace(st, in_flight=st.in_flight + (occ,), next_seq=st.next_seq + 1),
+            _evolve(st, in_flight=st.in_flight + (occ,), next_seq=st.next_seq + 1),
             None,
         )
     return st, None
@@ -631,7 +632,7 @@ class KernelError(Exception):
 def _spawn_regions(ctx: ModelIndex, st: RuntimeState, path: Path) -> RuntimeState:
     for rpath in ctx.state_regions.get(path, ()):
         leg = _leg_for_region(ctx, rpath, st.next_tid)
-        st = replace(st.with_thread(leg), next_tid=st.next_tid + 1)
+        st = _evolve(st.with_thread(leg), next_tid=st.next_tid + 1)
     return st
 
 
@@ -641,7 +642,7 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
     completed = leg.current()
     if completed.kind == "entry_behavior":
         st = st.with_status(completed.path, "entry_done")
-    leg = replace(leg, idx=leg.idx + 1, exec=None)
+    leg = _evolve(leg, idx=leg.idx + 1, exec=None)
     if leg.done:
         st = st.without_thread(leg.tid)
     else:
@@ -671,23 +672,23 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
 
     if step.kind is StepKind.DISPATCH:
         if isinstance(arg, CompletionOccurrence):
-            st = replace(st, queue_completion=_without(st.queue_completion, arg))
+            st = _evolve(st, queue_completion=_without(st.queue_completion, arg))
         else:
-            st = replace(st, queue_regular=_without(st.queue_regular, arg))
+            st = _evolve(st, queue_regular=_without(st.queue_regular, arg))
         options = analyze_dispatch(ctx, st, arg)
-        st = replace(st, pending=PendingDispatch(arg, options))
+        st = _evolve(st, pending=PendingDispatch(arg, options))
         extra.append(("options", len(options)))
 
     elif step.kind in (StepKind.CHOOSE_ACCEPTER, StepKind.DEFER, StepKind.DISCARD):
         occ = st.pending.occurrence
-        st = replace(st, pending=None)
+        st = _evolve(st, pending=None)
         if arg[0] == "defer":
-            st = replace(st, deferred=st.deferred + (occ,))
+            st = _evolve(st, deferred=st.deferred + (occ,))
         elif arg[0] == "sm":
-            st = replace(st, rtc_index=st.rtc_index + 1)
+            st = _evolve(st, rtc_index=st.rtc_index + 1)
             for tid in arg[1]:
                 leg = _leg_for_transition(ctx, st, tid, st.next_tid)
-                st = replace(st.with_thread(leg), next_tid=st.next_tid + 1)
+                st = _evolve(st.with_thread(leg), next_tid=st.next_tid + 1)
                 # a transition leg can be empty (internal, no effect): it
                 # still counts as the event's run-to-completion step
                 if leg.done:
@@ -695,46 +696,46 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         elif arg[0] == "do":
             _, tid, node = arg
             th = st.thread(tid)
-            st = st.with_thread(replace(th, local=th.local + ((node, occ),)))
+            st = st.with_thread(_evolve(th, local=th.local + ((node, occ),)))
             st = _without_accepters(st, tid, node)
         # "discard": the occurrence is dropped
 
     elif step.kind is StepKind.INIT_DO:
         entry = ctx.prog_entry(arg.activity)
         strands = (entry,) if entry is not None else ()
-        st = st.with_thread(replace(arg, invoked=True, local=(), exec=ActivityExec(strands)))
+        st = st.with_thread(_evolve(arg, invoked=True, local=(), exec=ActivityExec(strands)))
 
     elif step.kind is StepKind.RUN_ACTION:
         th, nid = arg
         prog = ctx.program(th.activity)
         node = prog.node(nid)
         if node.kind == "accept":
-            th = replace(th, local=tuple(e for e in th.local if e[0] != nid))
+            th = _evolve(th, local=tuple(e for e in th.local if e[0] != nid))
         st, obs = _exec_node(ctx, st, prog, nid, th.state[:-1])
         ex = _advance_exec(prog, th.exec, nid)
-        th = replace(th, exec=ex)
+        th = _evolve(th, exec=ex)
         if node.kind == "final":
-            th = replace(th, local=())
+            th = _evolve(th, local=())
             st = _without_accepters(st, th.tid)
         st = st.with_thread(th)
 
     elif step.kind is StepKind.REGISTER_ACCEPT:
         th, nid = arg
         acc = Accepter(th.tid, nid, ctx.program(th.activity).node(nid).signals)
-        st = replace(st, accepters=tuple(sorted(st.accepters + (acc,), key=lambda a: (a.tid, a.node))))
+        st = _evolve(st, accepters=tuple(sorted(st.accepters + (acc,), key=lambda a: (a.tid, a.node))))
 
     elif step.kind is StepKind.CONSUME_DEFERRED:
         acc, occ = arg
         th = st.thread(acc.tid)
-        st = _without_accepters(replace(st, deferred=_without(st.deferred, occ)), acc.tid, acc.node)
-        st = st.with_thread(replace(th, local=th.local + ((acc.node, occ),)))
+        st = _without_accepters(_evolve(st, deferred=_without(st.deferred, occ)), acc.tid, acc.node)
+        st = st.with_thread(_evolve(th, local=th.local + ((acc.node, occ),)))
 
     elif step.kind is StepKind.DELIVER:
-        st = replace(st, in_flight=_without(st.in_flight, arg), queue_regular=st.queue_regular + (arg,))
+        st = _evolve(st, in_flight=_without(st.in_flight, arg), queue_regular=st.queue_regular + (arg,))
 
     elif step.kind is StepKind.GENERATE_COMPLETION:
         occ = CompletionOccurrence(arg, st.next_seq)
-        st = replace(
+        st = _evolve(
             st.with_status(arg, "completed"),
             queue_completion=st.queue_completion + (occ,),
             next_seq=st.next_seq + 1,
@@ -754,9 +755,9 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             st, obs = _exec_node(ctx, st, prog, nid, region)
             ex = _advance_exec(prog, leg.exec, nid)
             if ex.strands:
-                st = st.with_thread(replace(leg, exec=ex))
+                st = st.with_thread(_evolve(leg, exec=ex))
             else:
-                st = _advance_leg(ctx, st, replace(leg, exec=ex))
+                st = _advance_leg(ctx, st, _evolve(leg, exec=ex))
 
         elif step.kind is StepKind.ABORT_DO:
             th = _do_thread_for(st, cur.path)
@@ -775,7 +776,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
                 return any(o.signal in ctx.defer_of.get(p, ()) for p, _ in st.active)
 
             released = tuple(o for o in st.deferred if not covered(o))
-            st = replace(
+            st = _evolve(
                 st,
                 deferred=tuple(o for o in st.deferred if covered(o)),
                 queue_regular=released + st.queue_regular,
@@ -795,7 +796,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             v = ctx.vertex[cur.path]
             inv = InvocationOccurrence(st.next_seq)
             th = DoThread(st.next_tid, cur.path, v.do_activity, invoked=False, local=((-1, inv),))
-            st = replace(st.with_thread(th), next_seq=st.next_seq + 1, next_tid=st.next_tid + 1)
+            st = _evolve(st.with_thread(th), next_seq=st.next_seq + 1, next_tid=st.next_tid + 1)
             extra += [("thread", th.label()), ("activity", v.do_activity)]
             st = _advance_leg(ctx, st, leg)
 
@@ -836,7 +837,7 @@ def boot(ctx: ModelIndex) -> RuntimeState:
     )
     for i, rpath in enumerate(ctx.root_regions):
         st = st.with_thread(_leg_for_region(ctx, rpath, i))
-    return replace(st, next_tid=len(ctx.root_regions))
+    return _evolve(st, next_tid=len(ctx.root_regions))
 
 
 def inject(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[RuntimeState, Record]:
@@ -845,6 +846,6 @@ def inject(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[RuntimeState
     if signal not in ctx.model.signals:
         raise KernelError(f"unknown signal {signal}")
     occ = SignalOccurrence(signal, st.next_seq)
-    post = replace(st, queue_regular=st.queue_regular + (occ,), next_seq=st.next_seq + 1)
+    post = _evolve(st, queue_regular=st.queue_regular + (occ,), next_seq=st.next_seq + 1)
     step = MicroStep(StepKind.INJECT, "env", (("signal", signal),))
     return _render(ctx, st, post, step, None, [("occ", occ.brief())])

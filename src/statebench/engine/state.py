@@ -23,7 +23,7 @@ between the send action and their (separately scheduled) arrival in the pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .occurrences import CompletionOccurrence, Occurrence, SignalOccurrence
@@ -33,6 +33,23 @@ Path = tuple[str, ...]
 
 def dotted(path: Path) -> str:
     return ".".join(path)
+
+
+def _evolve(value, **changes):
+    """`dataclasses.replace` for the frozen values of this module: a copy of
+    `value`'s fields with `changes` applied. `replace` runs the generated
+    `__init__`, which sets each field through `object.__setattr__`; filling
+    the new instance dict in place costs about a quarter of that on a
+    RuntimeState. Filled in place, the dict keeps sharing its keys with the
+    class's other instances; a dict built apart would not, and would double
+    the size of every thread that the explorer's memo keys hold. These
+    values have no `__post_init__` and no slots, so the copy is equal to,
+    and hashes like, the value `__init__` would build."""
+    new = object.__new__(type(value))
+    fields = new.__dict__
+    fields.update(value.__dict__)
+    fields.update(changes)
+    return new
 
 
 # --- logical threads ---------------------------------------------------
@@ -192,22 +209,22 @@ class RuntimeState:
 
     def with_thread(self, thread: Thread) -> RuntimeState:
         rest = tuple(t for t in self.threads if t.tid != thread.tid)
-        return replace(self, threads=tuple(sorted(rest + (thread,), key=lambda t: t.tid)))
+        return _evolve(self, threads=tuple(sorted(rest + (thread,), key=lambda t: t.tid)))
 
     def without_thread(self, tid: int) -> RuntimeState:
-        return replace(self, threads=tuple(t for t in self.threads if t.tid != tid))
+        return _evolve(self, threads=tuple(t for t in self.threads if t.tid != tid))
 
     def with_status(self, path: Path, status: str) -> RuntimeState:
         entries = tuple((p, status if p == path else st) for p, st in self.active)
         if not self.is_active(path):
             entries = tuple(sorted(entries + ((path, status),)))
-        return replace(self, active=entries)
+        return _evolve(self, active=entries)
 
     def without_path(self, path: Path) -> RuntimeState:
-        return replace(self, active=tuple((p, st) for p, st in self.active if p != path))
+        return _evolve(self, active=tuple((p, st) for p, st in self.active if p != path))
 
     def with_var(self, name: str, value: int) -> RuntimeState:
-        return replace(self, vars=tuple(sorted(((n, value if n == name else v) for n, v in self.vars))))
+        return _evolve(self, vars=tuple(sorted(((n, value if n == name else v) for n, v in self.vars))))
 
     # -- canonical identity --
 

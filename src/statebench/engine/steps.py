@@ -49,12 +49,18 @@ class MicroStep:
     # step was enabled in, and what `apply` acts on there
     state: object = field(default=None, compare=False, repr=False)
     operand: object = field(default=None, compare=False, repr=False)
+    # `key()`, rendered once: the canonical sort, the record and a replay
+    # script all read it
+    _key: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        parts = [self.kind.value, self.thread]
+        parts.extend(f"{k}={v}" for k, v in self.payload)
+        object.__setattr__(self, "_key", "|".join(parts))
 
     def key(self) -> str:
         """Stable identity used by replay scripts and trace records."""
-        parts = [self.kind.value, self.thread]
-        parts.extend(f"{k}={v}" for k, v in self.payload)
-        return "|".join(parts)
+        return self._key
 
 
 def sort_group(thread: str) -> tuple[int, int]:

@@ -67,7 +67,7 @@ differ only in how independent regions' outputs interleave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -85,6 +85,13 @@ class ExploreBounds:
     max_micro_steps: int = 200     # records per path, injections included
     max_traces: int = 10000        # materialization cap
     max_pool: int = 64             # combined occupancy of all pools
+
+    def __post_init__(self) -> None:
+        # a negative cap would slice `traces` from the end, and a negative
+        # bound would cut every schedule at its first step
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"ExploreBounds.{f.name} must not be negative, got {getattr(self, f.name)}")
 
 
 @dataclass(frozen=True, slots=True)

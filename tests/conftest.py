@@ -8,6 +8,13 @@ from statebench.parser import load_model, load_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# (machine, scenario) for every fixture scenario: each runs on the machine
+# of the same name, except composite-complete, which runs on composite-work
+FIXTURE_PAIRS = sorted(
+    (p.stem if (FIXTURES / f"{p.stem}.psm").exists() else "composite-work", p.stem)
+    for p in FIXTURES.glob("*.scn")
+)
+
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name

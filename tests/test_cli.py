@@ -210,6 +210,18 @@ def test_explore_truncation_exit(capsys):
     assert code != OK
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [(c, f, "-1") for c in ("run", "explore") for f in ("--max-steps", "--max-pool")]
+    + [("explore", "--max-traces", "3")],  # the flag is gone; it changed no output
+)
+def test_bad_bound_flag_is_an_argument_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fx("do-simple.psm"), fx("do-simple.scn"), flag, value])
+    assert exc.value.code == PARSE
+    assert flag in capsys.readouterr().err
+
+
 def test_explore_deep_step_bound_exits_budget():
     # a completion self-loop never ends, so the walk is 20,000 micro-steps
     # deep; a subprocess keeps an interpreter crash out of this one

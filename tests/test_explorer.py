@@ -279,6 +279,15 @@ def test_traces_become_witnesses_when_capped():
     assert {t.obs_signals() for t in ts.traces} == {(), ("progress",)}
 
 
+@pytest.mark.parametrize("field", ["max_micro_steps", "max_traces", "max_pool"])
+def test_negative_bounds_are_rejected(field):
+    # max_traces=-3 used to slice the class witnesses from the end: do-simple
+    # gave 0 of its 2
+    with pytest.raises(ValueError, match=field):
+        ExploreBounds(**{field: -3})
+    assert getattr(ExploreBounds(**{field: 0}), field) == 0
+
+
 def test_find_trace_by_signal_sequence():
     ts = explored("accept-race")
     t = ts.find_trace(("got",))

@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURE_PAIRS, FIXTURES
 from statebench.engine import kernel
 from statebench.engine.driver import RandomStrategy, run
 from statebench.explorer import explore
 from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
-
-# every scenario runs on the machine of the same name, except
-# composite-complete, which runs on composite-work
-PAIRS = sorted(
-    (p.stem if (FIXTURES / f"{p.stem}.psm").exists() else "composite-work", p.stem)
-    for p in FIXTURES.glob("*.scn")
-)
 
 
 def expected_rank(thread: str) -> tuple[int, int]:
@@ -67,7 +60,7 @@ def checked(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("model_name,scn_name", PAIRS)
+@pytest.mark.parametrize("model_name,scn_name", FIXTURE_PAIRS)
 def test_fixture_walks_are_canonical(model_name, scn_name, checked):
     m = load_model(str(FIXTURES / f"{model_name}.psm"))
     ts = explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m))
