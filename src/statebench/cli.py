@@ -13,7 +13,7 @@ Exit codes are uniform across subcommands:
     1  expectation failed / lint findings / replay divergence
     2  unusable input: a parse error, a missing or unreadable file, a file
        that holds no trace, an unknown strategy
-    3  step or trace budget exhausted
+    3  step, trace, memory or stack budget exhausted
     4  deadlock (run: machine stuck mid-scenario; explore: some schedule is)
 """
 
@@ -42,7 +42,7 @@ from .explorer import ExploreBounds, explore
 from .linter import APPLICABLE, SLIGHT, lint
 from .linter import explain as explain_pattern
 from .parser import ParseFailure, load_model, load_scenario
-from .trace import Trace, from_json as trace_from_json
+from .trace import Trace, first_divergence, from_json as trace_from_json
 
 OK = 0
 FAIL = 1
@@ -276,19 +276,21 @@ def cmd_replay(args) -> int:
 
     # The replayed run was made under the script strategy; the byte-level
     # comparison is about machine behavior, so carry the original's labels.
-    replayed = replace(result.trace, strategy=original.strategy, seed=original.seed)
-    new_json = replayed.to_json()
-    if new_json == original_json:
+    replayed = replace(result.trace, strategy=original.strategy, seed=original.seed, meta=original.meta)
+    if replayed.to_json() == original_json:
         print(f"replay identical: {len(result.trace.records)} steps")
         return OK
-    from .trace import first_divergence
-
-    idx = first_divergence(original, replayed)
-    print(f"replay DIVERGED at record {idx}", file=sys.stderr)
-    if idx is not None and idx < len(original.records):
-        print(f"  original: {original.records[idx].line(idx)}", file=sys.stderr)
-    if idx is not None and idx < len(replayed.records):
-        print(f"  replayed: {replayed.records[idx].line(idx)}", file=sys.stderr)
+    where = first_divergence(original, replayed)
+    if where is None:  # from_json reads neither the format version nor the layout
+        print("replay DIVERGED in rendering: the file is not the canonical JSON of its trace", file=sys.stderr)
+    elif isinstance(where, str):
+        print(f"replay DIVERGED in header field {where}: original {getattr(original, where)!r}, "
+              f"replayed {getattr(replayed, where)!r}", file=sys.stderr)
+    else:
+        print(f"replay DIVERGED at record {where}", file=sys.stderr)
+        for side, trace in (("original", original), ("replayed", replayed)):
+            if where < len(trace.records):
+                print(f"  {side}: {trace.records[where].line(where)}", file=sys.stderr)
     return FAIL
 
 
@@ -370,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return PARSE
     except MemoryError:  # the frames that held the memory are gone by now
         print("out of memory: the budget is exceeded", file=sys.stderr)
+        return BUDGET
+    except RecursionError:  # the recursive parser and validator, on a deeply nested model
+        print("nesting too deep for the interpreter's stack: the budget is exceeded", file=sys.stderr)
         return BUDGET
 
 

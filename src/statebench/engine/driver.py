@@ -208,12 +208,6 @@ def run(
     )
 
 
-def init(source: Union[M.MachineModel, ModelIndex], max_steps: int = 2000) -> RunResult:
-    """Boot and settle: the initial compound transitions run to quiescence
-    under the default strategy."""
-    return run(source, scenario=None, max_steps=max_steps)
-
-
 # --- expectation checks on a single run ------------------------------------
 
 

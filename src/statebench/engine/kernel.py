@@ -104,9 +104,6 @@ class ModelIndex:
     defer_of: dict[Path, frozenset[str]] = field(default_factory=dict)
     root_regions: tuple[Path, ...] = ()
 
-    def program(self, name: str) -> Program:
-        return self.programs[name]
-
     def prog_entry(self, name: Optional[str]) -> Optional[int]:
         if name is None:
             return None
@@ -522,7 +519,7 @@ def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep
     if not th.invoked:
         inv = th.local[0][1]
         return [_step(st, th, StepKind.INIT_DO, label, ("occ", inv.brief()), ("state", dotted(th.state)))]
-    prog = ctx.program(th.activity)
+    prog = ctx.programs[th.activity]
     steps: list[MicroStep] = []
     for nid in th.exec.strands:
         node = prog.node(nid)
@@ -558,7 +555,7 @@ def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroS
     if step.kind not in _PHASES:
         return [_step(st, (leg, None), kind, label, ("state", dotted(step.path)))]
     assert leg.exec is not None
-    prog = ctx.program(step.activity)
+    prog = ctx.programs[step.activity]
     where = ("transition", step.transition) if step.transition else ("state", dotted(step.path))
     about = (("activity", step.activity), where)
     return [_step(st, (leg, n), kind, label, ("node", n), ("do", describe(prog.node(n))), *about) for n in leg.exec.strands]
@@ -707,7 +704,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
 
     elif step.kind is StepKind.RUN_ACTION:
         th, nid = arg
-        prog = ctx.program(th.activity)
+        prog = ctx.programs[th.activity]
         node = prog.node(nid)
         if node.kind == "accept":
             th = _evolve(th, local=tuple(e for e in th.local if e[0] != nid))
@@ -721,7 +718,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
 
     elif step.kind is StepKind.REGISTER_ACCEPT:
         th, nid = arg
-        acc = Accepter(th.tid, nid, ctx.program(th.activity).node(nid).signals)
+        acc = Accepter(th.tid, nid, ctx.programs[th.activity].node(nid).signals)
         st = _evolve(st, accepters=tuple(sorted(st.accepters + (acc,), key=lambda a: (a.tid, a.node))))
 
     elif step.kind is StepKind.CONSUME_DEFERRED:
@@ -748,7 +745,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         cur = leg.current()
 
         if nid is not None:
-            prog = ctx.program(cur.activity)
+            prog = ctx.programs[cur.activity]
             # effect phases carry the region path directly; entry and exit
             # behaviors carry the vertex path, whose parent is the region
             region = cur.path if cur.kind == "effect" else cur.path[:-1]

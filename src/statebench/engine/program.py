@@ -31,7 +31,6 @@ class ProgNode:
     to_env: bool = True
     signals: tuple[str, ...] = ()  # accept alternatives
     branches: tuple[int, ...] = () # par branch entry points
-    join: int = -1                 # par: id of the matching join node
     arity: int = 0                 # join: strands that must arrive
 
 
@@ -87,7 +86,7 @@ def compile_activity(activity: M.Activity) -> Program:
             # join, so the par's own nxt is unused
             join = emit(ProgNode("join", cont, arity=len(raw.branches)))
             entries = tuple(build_block(branch, join) for branch in raw.branches)
-            return emit(ProgNode("par", None, branches=entries, join=join))
+            return emit(ProgNode("par", None, branches=entries))
         raise TypeError(f"unknown activity node {raw!r}")
 
     entry = build_block(activity.body, None)

@@ -23,7 +23,8 @@ between the send action and their (separately scheduled) arrival in the pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Union
 
 from .occurrences import CompletionOccurrence, Occurrence, SignalOccurrence
@@ -230,21 +231,8 @@ class RuntimeState:
 
     def key(self) -> tuple:
         """Hashable identity for memoization; covers everything that can
-        influence future behavior."""
-        return (
-            self.active,
-            self.queue_completion,
-            self.queue_regular,
-            self.deferred,
-            self.in_flight,
-            self.threads,
-            self.accepters,
-            self.vars,
-            self.pending,
-            self.rtc_index,
-            self.next_seq,
-            self.next_tid,
-        )
+        influence future behavior: the fields `==` compares, in order."""
+        return _key_fields(self)
 
     def config_text(self) -> str:
         """Human-oriented snapshot of the active state configuration."""
@@ -254,3 +242,6 @@ class RuntimeState:
             if not any(q != p and q[: len(p)] == p for q in paths):
                 leaves.append(dotted(p))
         return "[" + ", ".join(leaves) + "]"
+
+
+_key_fields = attrgetter(*(f.name for f in fields(RuntimeState) if f.compare))

@@ -27,11 +27,12 @@ Every query runs on three generic pieces, all iterative, so no depth of the
 DAG can exhaust the interpreter's stack:
 
 - the builder, `explore`: a depth-first walk on an explicit stack that
-  numbers nodes in preorder and lists them children-before-parents in
-  `TraceSet.order` as they finish;
-- `_fold(nodes, order, start, step)`: the exact number of complete traces
-  that end in each monitor state, one forward pass over the product of a
-  DAG and the monitor's states that frees each node's row once it is read;
+  numbers nodes as they finish, so ids are a topological order: every child
+  comes before its parent, and the root is last;
+- `_fold(nodes, start, step)`: the exact number of complete traces that end
+  in each monitor state, one pass over the product of a DAG and the
+  monitor's states, from the root down, that frees each node's row once it
+  is read;
 - `TraceSet._accepted(monitor)`: the complete record paths a monitor
   accepts, in canonical edge order (each node's edges in the order the
   kernel enabled them). A (node, state) pair that led to no accepted path is
@@ -101,7 +102,7 @@ class Edge:
     obs: tuple[tuple[str, str], ...]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     edges: tuple[Edge, ...] = ()   # none at leaves: terminal, deadlocked, truncated
     terminal: bool = False         # no enabled steps, scenario finished
@@ -164,16 +165,14 @@ def _enters(e: Edge, state: str) -> bool:
     return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in e.records)
 
 
-def _fold(
-    nodes: Sequence[Node], order: Sequence[int], start: Any, step: Callable[[Any, Edge], Any]
-) -> dict[Any, int]:
+def _fold(nodes: Sequence[Node], start: Any, step: Callable[[Any, Edge], Any]) -> dict[Any, int]:
     """Exact number of complete paths through the DAG `nodes` that end in
-    each monitor state. `order` lists node ids children before parents and
-    the root last, so in reverse each node's row of (monitor state -> paths
-    from the root) is whole when it is read. An empty DAG has no path."""
-    rows: dict[int, dict[Any, int]] = {order[-1]: {start: 1}} if order else {}
+    each monitor state. Nodes are numbered children before parents with the
+    root last, so in reverse each node's row of (monitor state -> paths from
+    the root) is whole when it is read. An empty DAG has no path."""
+    rows: dict[int, dict[Any, int]] = {len(nodes) - 1: {start: 1}} if nodes else {}
     ends: dict[Any, int] = {}
-    for nid in reversed(order):
+    for nid in reversed(range(len(nodes))):
         row = rows.pop(nid)  # the root's, or filled in by an edge into the node
         node = nodes[nid]
         if node.terminal:
@@ -203,16 +202,14 @@ class TraceSet:
         scenario: Optional[S.Scenario],
         bounds: ExploreBounds,
         nodes: list[Node],
-        order: list[int],
         root_records: tuple[Record, ...],
         stats: ExploreStats,
     ):
         self.ctx = ctx
         self.scenario = scenario
         self.bounds = bounds
-        self.nodes = nodes
-        self.order = order             # node ids, children before parents
-        self.root = 0                  # nodes are numbered in preorder
+        self.nodes = nodes             # numbered children before parents
+        self.root = len(nodes) - 1
         self.root_records = root_records
         self.stats = stats
 
@@ -221,7 +218,7 @@ class TraceSet:
     def _count(self, monitor: Monitor) -> int:
         """Exact number of complete traces `monitor` accepts."""
         start, step, accept = monitor
-        ends = _fold(self.nodes, self.order, start, step)
+        ends = _fold(self.nodes, start, step)
         return sum(cnt for s, cnt in ends.items() if accept(s))
 
     def _accepted(self, monitor: Monitor) -> Iterator[tuple[Record, ...]]:
@@ -279,8 +276,7 @@ class TraceSet:
         cls: dict[int, int] = {}  # DAG node id -> class id
         ids: dict[tuple, int] = {}  # class key -> class id
         quot: list[Node] = []
-        for nid in self.order:
-            node = self.nodes[nid]
+        for nid, node in enumerate(self.nodes):
             pairs = sorted((e.obs, cls[e.child]) for e in node.edges if e.child in cls)
             if len(pairs) == 1 and not pairs[0][0]:  # one silent way on: the child's future
                 cls[nid] = pairs[0][1]
@@ -327,7 +323,7 @@ class TraceSet:
             return tuple(reversed(items))
 
         quot = self._quotient()
-        ends = _fold(quot, range(len(quot)), 0, step)
+        ends = _fold(quot, 0, step)
         return dict(sorted((prefix(pid), cnt) for pid, cnt in ends.items()))
 
     def signal_partition(self) -> dict[tuple[str, ...], int]:
@@ -442,7 +438,6 @@ def explore(
     ctx = source if isinstance(source, ModelIndex) else K.build_index(source)
     bnd = bounds or ExploreBounds()
     nodes: list[Node] = []
-    order: list[int] = []
     keymap: dict[tuple, int] = {}
     # the edge labels of this walk: one shared (records, obs) pair per
     # distinct record list, and one shared tuple per distinct obs
@@ -450,54 +445,57 @@ def explore(
     observed: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
-    # frames of the nodes being expanded: node id, state, scenario index,
-    # depth (records on the path), step iterator, edges so far
+    # frames of the nodes being expanded: memo key, state, scenario index,
+    # depth (records on the path), step iterator, edges so far, and the
+    # label of the edge from the frame below
     stack: list[tuple] = []
 
-    def visit(st: RuntimeState, idx: int, depth: int) -> int:
-        """The node of (st, idx, depth); a new node with steps goes on the stack."""
-        key = (st.key(), idx, depth)
-        if prune and key in keymap:
-            return keymap[key]
-        nid = len(nodes)
-        nodes.append(Node())
-        stats.nodes += 1
+    def finish(key: tuple, node: Node, label: Optional[tuple]) -> None:
+        """Numbers a finished new node, children before parents so that the
+        root is last, and links it by `label` to the frame on top of the stack."""
+        nodes.append(node)
         if prune:
-            keymap[key] = nid
+            keymap[key] = len(nodes) - 1
+        if stack:
+            stack[-1][5].append(Edge(label[0], len(nodes) - 1, label[1]))
+
+    def visit(st: RuntimeState, idx: int, depth: int, label: Optional[tuple]) -> None:
+        """The node of (st, idx, depth), reached by `label`; a new node with
+        steps goes on the stack, to be finished after its last child."""
+        key = (st.key(), idx, depth)
+        if prune and key in keymap:  # never the root: the stack holds its parent
+            stack[-1][5].append(Edge(label[0], keymap[key], label[1]))
+            return
+        stats.nodes += 1
         steps = K.enabled_steps(ctx, st)
         if steps and (depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool):
             stats.truncated += 1
         elif steps:
-            stack.append((nid, st, idx, depth, iter(steps), []))
-            return nid
-        elif idx >= scn_len:
-            nodes[nid].terminal = True
-        else:
+            stack.append((key, st, idx, depth, iter(steps), [], label))
+            return
+        elif idx < scn_len:
             stats.deadlocks += 1
-        order.append(nid)
-        return nid
+        finish(key, Node(terminal=not steps and idx >= scn_len), label)
 
     boot_records: list[Record] = []
     st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records)
-    visit(st0, idx0, len(boot_records))
+    visit(st0, idx0, len(boot_records), None)
     while stack:
-        nid, st, idx, depth, steps, edges = stack[-1]
+        key, st, idx, depth, steps, edges, label = stack[-1]
         step = next(steps, None)
         if step is None:
             stack.pop()
-            nodes[nid].edges = tuple(edges)
-            order.append(nid)
+            finish(key, Node(tuple(edges)), label)
             continue
         st2, rec = K.apply(ctx, st, step)
         recs = [rec]
         st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
-        child = visit(st3, idx2, depth + len(recs))
         records = tuple(recs)
         label = labels.get(records)
         if label is None:
             obs = tuple(r.obs for r in recs if r.obs is not None)
             label = labels[records] = (records, observed.setdefault(obs, obs))
-        edges.append(Edge(label[0], child, label[1]))
+        visit(st3, idx2, depth + len(recs), label)
         stats.edges += 1
 
     result = TraceSet(
@@ -505,7 +503,6 @@ def explore(
         scenario=scenario,
         bounds=bnd,
         nodes=nodes,
-        order=order,
         root_records=tuple(boot_records),
         stats=stats,
     )

@@ -22,7 +22,7 @@ explanation and its own hazard weighting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import model as M
 
@@ -307,32 +307,17 @@ class StateAxes:
         return not self.nested
 
 
-def _walk_body(body: tuple[M.Node, ...]) -> Iterator[M.Node]:
-    for node in body:
-        yield node
-        if isinstance(node, M.Par):
-            for branch in node.branches:
-                yield from _walk_body(branch)
-
-
-def _activity_accepts(model: M.MachineModel, name: Optional[str]) -> frozenset[str]:
-    if name is None:
-        return frozenset()
-    sigs: set[str] = set()
-    for node in _walk_body(model.activity(name).body):
+def _activity_signals(model: M.MachineModel, name: Optional[str]) -> tuple[frozenset[str], frozenset[str]]:
+    """The signals the activity `name` accepts, and those it sends to self."""
+    body = model.activity(name).body if name is not None else ()
+    accepts: set[str] = set()
+    self_sends: set[str] = set()
+    for node in M.walk_body(body):
         if isinstance(node, M.AcceptEvent):
-            sigs.update(node.signals)
-    return frozenset(sigs)
-
-
-def _activity_self_sends(model: M.MachineModel, name: Optional[str]) -> frozenset[str]:
-    if name is None:
-        return frozenset()
-    sigs: set[str] = set()
-    for node in _walk_body(model.activity(name).body):
-        if isinstance(node, M.SendSignal) and not node.to_env:
-            sigs.add(node.signal)
-    return frozenset(sigs)
+            accepts.update(node.signals)
+        elif isinstance(node, M.SendSignal) and not node.to_env:
+            self_sends.add(node.signal)
+    return frozenset(accepts), frozenset(self_sends)
 
 
 def classify(model: M.MachineModel) -> dict[str, StateAxes]:
@@ -363,15 +348,16 @@ def classify(model: M.MachineModel) -> dict[str, StateAxes]:
                     completion_out = True
                 elif t.trigger:
                     outgoing.add(t.trigger)
+            accepts, self_sends = _activity_signals(model, v.do_activity)
             axes[path] = StateAxes(
                 path=path,
                 name=v.name,
                 nested=nested,
                 region_count=len(v.regions),
                 has_do=v.do_activity is not None,
-                accepts=_activity_accepts(model, v.do_activity),
+                accepts=accepts,
                 defers=frozenset(v.defer),
-                self_sends=_activity_self_sends(model, v.do_activity),
+                self_sends=self_sends,
                 outgoing_triggers=frozenset(outgoing),
                 internal_triggers=frozenset(internal),
                 has_completion_out=completion_out,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,15 @@ class FinalNode:
 
 
 Node = Union[Task, SendSignal, AcceptEvent, Par, FinalNode]
+
+
+def walk_body(body: tuple[Node, ...]) -> Iterator[Node]:
+    """Every node of an activity body in source order, par branches included."""
+    for node in body:
+        yield node
+        if isinstance(node, Par):
+            for branch in node.branches:
+                yield from walk_body(branch)
 
 
 @dataclass(frozen=True)
@@ -185,29 +194,6 @@ class MachineModel:
         return self._activity_by_name[name]
 
 
-# --- classification ---------------------------------------------------------
-
-
-class VertexClass(Enum):
-    SIMPLE = "simple"
-    COMPOSITE_SINGLE = "composite_single"
-    COMPOSITE_ORTHOGONAL = "composite_orthogonal"
-    FINAL = "final"
-    INITIAL = "initial"
-
-
-def classify_vertex(vertex: Vertex) -> VertexClass:
-    if isinstance(vertex, InitialPseudostate):
-        return VertexClass.INITIAL
-    if isinstance(vertex, FinalState):
-        return VertexClass.FINAL
-    if not vertex.regions:
-        return VertexClass.SIMPLE
-    if len(vertex.regions) == 1:
-        return VertexClass.COMPOSITE_SINGLE
-    return VertexClass.COMPOSITE_ORTHOGONAL
-
-
 # --- validation --------------------------------------------------------------
 
 
@@ -274,15 +260,6 @@ def _check_block(body: tuple[Node, ...], owner: str, signals: set[str],
                 _check_block(branch, owner, signals, variables, errors)
 
 
-def _block_has_accept(body: tuple[Node, ...]) -> bool:
-    for node in body:
-        if isinstance(node, AcceptEvent):
-            return True
-        if isinstance(node, Par) and any(_block_has_accept(b) for b in node.branches):
-            return True
-    return False
-
-
 def _check_behavior_ref(name: Optional[str], role: str, owner: str, model: MachineModel,
                         activity_names: set[str], errors: list[ModelError],
                         span: Optional[SourceSpan], allow_accept: bool) -> None:
@@ -291,7 +268,7 @@ def _check_behavior_ref(name: Optional[str], role: str, owner: str, model: Machi
     if name not in activity_names:
         errors.append(ModelError("UnknownActivity", f"{role} behavior {name!r} of {owner!r} is not defined", span))
         return
-    if not allow_accept and _block_has_accept(model.activity(name).body):
+    if not allow_accept and any(isinstance(n, AcceptEvent) for n in walk_body(model.activity(name).body)):
         errors.append(ModelError(
             "AcceptInBehavior",
             f"{role} behavior {name!r} of {owner!r} contains an accept node; "

@@ -417,7 +417,11 @@ def _parse_int(cur: _Cursor) -> int:
         negative = True
     tok = cur.expect("int", "integer literal")
     assert tok is not None
-    value = int(tok.text)
+    try:
+        value = int(tok.text)
+    except ValueError:  # a digit such as '²', or more digits than int() reads
+        cur.error("BadInteger", f"integer literal {tok.text[:20]!r}: not ASCII digits, or too many digits", tok)
+        raise _Recover() from None
     return -value if negative else value
 
 

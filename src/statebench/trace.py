@@ -20,8 +20,8 @@ holds the exact key the scheduler chose, so any trace doubles as a script.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union
 
 Payload = tuple[tuple[str, "str | int"], ...]
 
@@ -124,23 +124,13 @@ def from_json(text: str) -> Trace:
         raise ValueError(f"malformed trace document ({type(exc).__name__}: {exc})") from None
 
 
-def first_divergence(a: Trace, b: Trace) -> Optional[int]:
-    """Index of the first record where the traces disagree, None if equal.
-
-    Comparison covers the scheduling identity and pool digests, i.e. two
-    traces agree exactly when they made the same choices with the same
-    visible outcome at every step.
-    """
+def first_divergence(a: Trace, b: Trace) -> Union[int, str, None]:
+    """Where the traces first disagree: the index of the first record that
+    differs (records compare whole), else the name of the first header field
+    that differs; None when the traces are equal."""
     for i, (ra, rb) in enumerate(zip(a.records, b.records)):
-        if (ra.step, ra.kind, ra.thread, ra.payload, ra.pool, ra.obs) != (
-            rb.step,
-            rb.kind,
-            rb.thread,
-            rb.payload,
-            rb.pool,
-            rb.obs,
-        ):
+        if ra != rb:
             return i
     if len(a.records) != len(b.records):
         return min(len(a.records), len(b.records))
-    return None
+    return next((f.name for f in fields(Trace) if getattr(a, f.name) != getattr(b, f.name)), None)

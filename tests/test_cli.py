@@ -128,6 +128,24 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert "DIVERGED at record 3" in err
 
 
+@pytest.mark.parametrize("edit,indent,code,message", [
+    pytest.param(lambda doc: doc.update(meta={"note": "x"}), None, OK, "replay identical", id="meta-only"),
+    pytest.param(lambda doc: doc["records"][2].update(rtc=99), None, FAIL, "DIVERGED at record 2", id="rtc-only"),
+    pytest.param(lambda doc: doc.update(scenario="other"), None, FAIL, "DIVERGED in header field scenario",
+                 id="header-only"),
+    pytest.param(lambda doc: None, 1, FAIL, "DIVERGED in rendering", id="rendering-only"),
+])
+def test_replay_names_the_first_difference(tmp_path, capsys, edit, indent, code, message):
+    trace = tmp_path / "t.json"
+    invoke(capsys, "run", fx("do-simple.psm"), fx("do-simple.scn"), "--trace-out", str(trace))
+    doc = json.loads(trace.read_text())
+    edit(doc)
+    trace.write_text(json.dumps(doc, sort_keys=True, indent=indent, separators=(",", ":")) + "\n")
+    got, out, err = invoke(capsys, "replay", fx("do-simple.psm"), fx("do-simple.scn"), str(trace))
+    assert got == code
+    assert message in out + err
+
+
 def test_run_with_script_strategy(tmp_path, capsys):
     trace = tmp_path / "t.json"
     invoke(
@@ -330,6 +348,33 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = invoke(capsys, "run", str(bad), fx("measurement.scn"))
     assert code == PARSE
     assert err.strip()
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000], ids=["superscript-two", "5000-digits"])
+def test_unreadable_integer_literal_is_a_parse_error(tmp_path, capsys, literal):
+    # str.isdigit holds for '²', and int() reads at most 4,300 digits
+    model = tmp_path / "m.psm"
+    model.write_text("machine M { signals e; vars x; activity a { x := " + literal + "; }"
+                     " region main { initial -> S; state S { do a; } } }\n", encoding="utf-8")
+    code, _, err = invoke(capsys, "lint", str(model))
+    assert code == PARSE
+    assert len(err.splitlines()) == 1 and "BadInteger" in err
+
+
+@pytest.mark.parametrize("command", ["lint", "run"])
+def test_deeply_nested_model_exits_budget(tmp_path, capsys, command):
+    # the parser recurses once per level; 1,000 levels exceed the stack
+    depth = 1000
+    model = tmp_path / "deep.psm"
+    model.write_text("machine Deep { signals e; "
+                     + "".join(f"region r{i} {{ initial -> S{i}; state S{i} {{ " for i in range(depth))
+                     + "} } " * depth + "}\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text("scenario s { }\n")
+    argv = (command, str(model)) + ((str(scn),) if command == "run" else ())
+    code, _, err = invoke(capsys, *argv)
+    assert code == BUDGET
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_file_exit_code(capsys):

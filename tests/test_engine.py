@@ -18,7 +18,6 @@ from statebench.engine.driver import (
     ScriptDiverged,
     ScriptStrategy,
     evaluate_run,
-    init,
     resolve_state,
     run,
 )
@@ -56,7 +55,7 @@ def parse(text):
 
 
 def test_boot_settles_into_initial_state(measurement):
-    result = init(measurement)
+    result = run(measurement)
     assert result.state.config_text() == "[main.Standby]"
     assert result.state.stable()
 

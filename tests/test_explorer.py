@@ -68,6 +68,22 @@ def test_completion_beats_older_pool_entries_everywhere():
     assert ts.signal_partition() == {("fin", "afterLog"): 3}
 
 
+def test_par_join_resumes_after_both_branches():
+    # the branches' one and two actions interleave in C(3, 1) = 3 ways, and
+    # the join resumes with `joined` only after both sends
+    m = machine("par-final")
+    ts = explore(m, parse_scenario("scenario s { expect eventually-active Done; }", m).scenario)
+    assert ts.total == 3
+    assert ts.signal_partition() == {("a", "b", "joined"): 2, ("b", "a", "joined"): 1}
+    assert [v.verdict for v in ts.check_all()] == ["all"]
+    # an abort can cut the activity anywhere, but never lets `joined` out early
+    ts = explore(m, parse_scenario("scenario s { inject stop; }", m).scenario)
+    assert ts.total == 134
+    classes = ts.signal_partition()
+    assert sum(cnt for seq, cnt in classes.items() if "joined" in seq) == 87
+    assert all(set(seq[:-1]) == {"a", "b"} for seq in classes if "joined" in seq)
+
+
 def test_partition_counts_sum_to_total():
     ts = explored("composite-work")
     assert sum(ts.partition.values()) == ts.total == 204
@@ -135,6 +151,13 @@ def verdict_json(v):
         " expect never-discards e2; }",
         ["all", "all", "none"],
         id="composite-work-active-discards",
+    ),
+    # a par fork, its join and a final node, aborted at every point between
+    pytest.param(
+        "par-final",
+        "scenario s { inject stop; expect eventually-active Done; expect emits a, b, joined; }",
+        ["some", "some"],
+        id="par-final-stop",
     ),
 ])
 def test_pruned_and_unpruned_agree(name, text, verdicts):
@@ -239,12 +262,12 @@ def test_bounded_pruned_and_unpruned_agree(name, scn_ref, bounds):
     assert [verdict_json(v) for v in pruned.check_all()] == [
         verdict_json(v) for v in full.check_all()
     ]
-    # no edge closes a cycle: every child comes before its parent in `order`
+    # no edge closes a cycle: every child is numbered before its parent,
+    # and the root is last
     for ts in (pruned, full):
-        place = {nid: i for i, nid in enumerate(ts.order)}
-        assert len(place) == len(ts.nodes)
+        assert ts.root == len(ts.nodes) - 1
         for nid, node in enumerate(ts.nodes):
-            assert all(place[e.child] < place[nid] for e in node.edges)
+            assert all(e.child < nid for e in node.edges)
 
 
 @pytest.mark.parametrize("seed", range(0, 30))
@@ -460,7 +483,7 @@ def test_partition_folds_over_a_smaller_quotient(s2):
     ts = explore(*s2)
     rows = {ts.root: Counter({(): 1})}
     want = Counter()
-    for nid in reversed(ts.order):
+    for nid in reversed(range(len(ts.nodes))):
         row = rows.pop(nid)
         if ts.nodes[nid].terminal:
             want.update(row)

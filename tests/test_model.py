@@ -35,18 +35,6 @@ def test_minimal_machine_is_valid():
     assert M.validate(_machine((r,))) == []
 
 
-def test_classify_vertex():
-    assert M.classify_vertex(M.InitialPseudostate()) is M.VertexClass.INITIAL
-    assert M.classify_vertex(M.FinalState("F")) is M.VertexClass.FINAL
-    assert M.classify_vertex(M.State("S")) is M.VertexClass.SIMPLE
-    sub = M.Region("r", (M.InitialPseudostate(), M.State("A")), ())
-    assert M.classify_vertex(M.State("S", regions=(sub,))) is M.VertexClass.COMPOSITE_SINGLE
-    assert (
-        M.classify_vertex(M.State("S", regions=(sub, M.Region("q", (), ()))))
-        is M.VertexClass.COMPOSITE_ORTHOGONAL
-    )
-
-
 def test_missing_initial_reported():
     r = M.Region("main", (M.State("S1"),), ())
     assert "MissingInitial" in codes(_machine((r,)))

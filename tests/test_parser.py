@@ -183,7 +183,7 @@ def test_eventually_active_dotted_reference_is_a_full_vertex_path(ref, ok):
 
 def test_pretty_print_round_trips_fixtures():
     for name in ("measurement", "composite-defer-steal", "accept-defer-override",
-                 "do-internal", "orthogonal-do"):
+                 "do-internal", "orthogonal-do", "par-final"):
         m = load_model(str(fixture_path(f"{name}.psm")))
         res = parse_model(pretty_print(m))
         assert res.ok, (name, res.errors)
