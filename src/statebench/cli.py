@@ -281,7 +281,7 @@ def cmd_replay(args) -> int:
         print(f"replay identical: {len(result.trace.records)} steps")
         return OK
     where = first_divergence(original, replayed)
-    if where is None:  # from_json reads neither the format version nor the layout
+    if where is None:  # equal traces: the file's layout (spacing, key order) differs
         print("replay DIVERGED in rendering: the file is not the canonical JSON of its trace", file=sys.stderr)
     elif isinstance(where, str):
         print(f"replay DIVERGED in header field {where}: original {getattr(original, where)!r}, "

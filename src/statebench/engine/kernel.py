@@ -39,14 +39,17 @@ applies); then exactly one ChooseAccepter/DeferEvent/DiscardEvent step
 commits one row of that table. While the decision is pending no other thread
 runs, which keeps the published match analysis true when it is committed.
 
-Deferral and acceptance interact in two directions. A registered doActivity
-accepter outranks deferral: if an active state defers the signal but an
-accepter matches, the accepter gets the occurrence and the state machine
-itself is not offered it. And a newly satisfiable accepter looks at the
-deferred pool before fresh events: whenever an accepter and a matching
-deferred occurrence coexist, a ConsumeDeferred step is enabled (also in the
-middle of someone else's run-to-completion step), and such an accepter is
-withheld from fresh dispatch matching until the deferred backlog is drained.
+A wait point belongs to its doActivity thread: RegisterDoAccept adds the
+accept node to the thread's `waiting`, routing an occurrence to it moves the
+node from `waiting` into the thread's local pool, next to the occurrence,
+and the dispatcher reads the accepters from the threads. Deferral and
+acceptance interact in two directions. A registered wait point outranks deferral: if an active state
+defers the signal but a wait point matches, the doActivity gets the
+occurrence and the state machine itself is not offered it. And a newly
+registered wait point looks at the deferred pool before fresh events: while
+it matches a deferred occurrence, its thread's ConsumeDeferred step is
+enabled (also in the middle of someone else's run-to-completion step) and
+the wait point is withheld from fresh dispatch matching.
 
 Completion events are generated only for states that actually have an
 outgoing completion transition; they enter a separate queue dispatched ahead
@@ -70,7 +73,6 @@ from .occurrences import (
 )
 from .program import Program, compile_activity, describe
 from .state import (
-    Accepter,
     ActivityExec,
     DoThread,
     LegStep,
@@ -175,12 +177,6 @@ def _canonical(steps) -> list[MicroStep]:
 
 def _without(queue: tuple, occ: Occurrence) -> tuple:
     return tuple(o for o in queue if o is not occ)
-
-
-def _without_accepters(st: RuntimeState, tid: int, node: Optional[int] = None) -> RuntimeState:
-    """Drops thread `tid`'s accepters, or only the one parked at `node`."""
-    kept = tuple(a for a in st.accepters if a.tid != tid or node not in (None, a.node))
-    return _evolve(st, accepters=kept)
 
 
 def _pool_digest(st: RuntimeState) -> str:
@@ -322,21 +318,21 @@ def _leg_prepare(ctx: ModelIndex, leg: LegThread) -> LegThread:
 def _advance_exec(prog: Program, ex: ActivityExec, nid: int) -> ActivityExec:
     """One strand finished node `nid`; route it onward through par forks and
     join barriers."""
-    node = prog.node(nid)
+    node = prog.nodes[nid]
     strands = [s for s in ex.strands if s != nid]
     joins = dict(ex.joins)
     if node.kind == "final":
         return ActivityExec((), ())
 
     def arrive(target: Optional[int]) -> None:
-        while target is not None and prog.node(target).kind == "join":
+        while target is not None and prog.nodes[target].kind == "join":
             jid = target
-            remaining = joins.get(jid, prog.node(jid).arity) - 1
+            remaining = joins.get(jid, prog.nodes[jid].arity) - 1
             if remaining > 0:
                 joins[jid] = remaining
                 return
             joins.pop(jid, None)
-            target = prog.node(jid).nxt
+            target = prog.nodes[jid].nxt
         if target is not None:
             strands.append(target)
 
@@ -356,7 +352,7 @@ def _exec_node(
 
     `region` is the owning region of the behavior; env sends are observed as
     (signal, that region), which is what trace normalization groups by."""
-    node = prog.node(nid)
+    node = prog.nodes[nid]
     if node.kind == "task" and node.assignment is not None:
         vars_ = dict(st.vars)
         a = node.assignment
@@ -415,11 +411,12 @@ def _fired_set(ctx: ModelIndex, enabled: list[TransitionId]) -> tuple[Transition
     return tuple(sorted(fired))
 
 
-def _busy_accepter(st: RuntimeState, acc: Accepter) -> bool:
-    """An accepter with a matching occurrence already waiting in the deferred
-    pool must drain it first (its ConsumeDeferred step is enabled) and is
-    withheld from fresh dispatch matching."""
-    return any(occ.signal in acc.signals for occ in st.deferred)
+def _backlog(st: RuntimeState, signals: tuple[str, ...]) -> Optional[SignalOccurrence]:
+    """The oldest deferred occurrence a wait point accepting `signals` would
+    take. While there is one, the wait point drains the deferred pool (its
+    ConsumeDeferred step is enabled) and is withheld from fresh dispatch
+    matching."""
+    return next((occ for occ in st.deferred if occ.signal in signals), None)
 
 
 def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tuple[tuple, ...]:
@@ -437,10 +434,14 @@ def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tupl
     signal = occ.signal
     enabled = _enabled_transitions(ctx, st, signal)
     fired = _fired_set(ctx, enabled)
+    # the matching wait points, in (thread id, node) order
     accepters = [
-        a
-        for a in st.accepters
-        if signal in a.signals and not _busy_accepter(st, a)
+        ("do", th.tid, nid)
+        for th in st.threads
+        if isinstance(th, DoThread)
+        for nid in th.waiting
+        if signal in (accepts := ctx.programs[th.activity].nodes[nid].signals)
+        and _backlog(st, accepts) is None
     ]
 
     deferring = [p for p, _ in st.active if signal in ctx.defer_of.get(p, ())]
@@ -455,14 +456,11 @@ def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tupl
     if effective_defer:
         # a deferring state shadows the state machine entirely; doActivity
         # accepters still outrank the deferral
-        if accepters:
-            options = [("do", a.tid, a.node) for a in accepters]
-        else:
-            options = [("defer",)]
+        options = accepters or [("defer",)]
     else:
         if fired:
             options.append(("sm", fired))
-        options.extend(("do", a.tid, a.node) for a in accepters)
+        options.extend(accepters)
         if not options:
             options = [("discard",)]
     return tuple(options)
@@ -500,11 +498,9 @@ def _refresh_completions(ctx: ModelIndex, st: RuntimeState) -> RuntimeState:
 # --- enabled steps -------------------------------------------------------
 
 
-def _accepter_for(st: RuntimeState, tid: int, node: int) -> Optional[Accepter]:
-    for a in st.accepters:
-        if a.tid == tid and a.node == node:
-            return a
-    return None
+def _route(th: DoThread, node: int, occ: Occurrence) -> DoThread:
+    """`th` with `occ` routed to its wait point `node`."""
+    return _evolve(th, waiting=tuple(n for n in th.waiting if n != node), local=th.local + ((node, occ),))
 
 
 def _routed(thread: DoThread, node: int) -> Optional[Occurrence]:
@@ -516,23 +512,25 @@ def _routed(thread: DoThread, node: int) -> Optional[Occurrence]:
 
 def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep]:
     label = th.label()
-    if not th.invoked:
-        inv = th.local[0][1]
-        return [_step(st, th, StepKind.INIT_DO, label, ("occ", inv.brief()), ("state", dotted(th.state)))]
+    if th.invocation is not None:
+        return [_step(st, th, StepKind.INIT_DO, label, ("occ", th.invocation.brief()), ("state", dotted(th.state)))]
     prog = ctx.programs[th.activity]
     steps: list[MicroStep] = []
     for nid in th.exec.strands:
-        node = prog.node(nid)
+        node = prog.nodes[nid]
         if node.kind != "accept":
             steps.append(_step(st, (th, nid), StepKind.RUN_ACTION, label, ("node", nid), ("do", describe(node))))
         elif (occ := _routed(th, nid)) is not None:
             items = (("node", nid), ("do", describe(node)), ("occ", occ.brief()))
             steps.append(_step(st, (th, nid), StepKind.RUN_ACTION, label, *items))
-        elif _accepter_for(st, th.tid, nid) is None:
+        elif nid not in th.waiting:
             items = (("node", nid), ("signals", "|".join(node.signals)))
             steps.append(_step(st, (th, nid), StepKind.REGISTER_ACCEPT, label, *items))
-        # else: registered and waiting; ConsumeDeferred is produced from
-        # the accepter list, not from here
+        elif (occ := _backlog(st, node.signals)) is not None:
+            # a registered wait point drains the deferred pool, any time,
+            # also mid-RTC; FIFO within the pool
+            items = (("node", nid), ("occ", occ.brief()))
+            steps.append(_step(st, (th, nid, occ), StepKind.CONSUME_DEFERRED, label, *items))
     return steps
 
 
@@ -558,7 +556,7 @@ def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroS
     prog = ctx.programs[step.activity]
     where = ("transition", step.transition) if step.transition else ("state", dotted(step.path))
     about = (("activity", step.activity), where)
-    return [_step(st, (leg, n), kind, label, ("node", n), ("do", describe(prog.node(n))), *about) for n in leg.exec.strands]
+    return [_step(st, (leg, n), kind, label, ("node", n), ("do", describe(prog.nodes[n])), *about) for n in leg.exec.strands]
 
 
 _OPTION_KIND = {
@@ -594,14 +592,6 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
                 steps.extend(_do_steps(ctx, st, th))
         else:
             steps.extend(_leg_steps(ctx, st, th))
-
-    # deferred-pool drain by registered accepters, any time, also mid-RTC
-    for acc in st.accepters:
-        for occ in st.deferred:
-            if occ.signal in acc.signals:
-                items = (("node", acc.node), ("occ", occ.brief()))
-                steps.append(_step(st, (acc, occ), StepKind.CONSUME_DEFERRED, f"do{acc.tid}", *items))
-                break   # FIFO within the deferred pool
 
     steps.extend(_step(st, occ, StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
     steps.extend(
@@ -692,40 +682,34 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
                     st = st.without_thread(leg.tid)
         elif arg[0] == "do":
             _, tid, node = arg
-            th = st.thread(tid)
-            st = st.with_thread(_evolve(th, local=th.local + ((node, occ),)))
-            st = _without_accepters(st, tid, node)
+            st = st.with_thread(_route(st.thread(tid), node, occ))
         # "discard": the occurrence is dropped
 
     elif step.kind is StepKind.INIT_DO:
         entry = ctx.prog_entry(arg.activity)
         strands = (entry,) if entry is not None else ()
-        st = st.with_thread(_evolve(arg, invoked=True, local=(), exec=ActivityExec(strands)))
+        st = st.with_thread(_evolve(arg, invocation=None, exec=ActivityExec(strands)))
 
     elif step.kind is StepKind.RUN_ACTION:
         th, nid = arg
         prog = ctx.programs[th.activity]
-        node = prog.node(nid)
+        node = prog.nodes[nid]
         if node.kind == "accept":
             th = _evolve(th, local=tuple(e for e in th.local if e[0] != nid))
         st, obs = _exec_node(ctx, st, prog, nid, th.state[:-1])
         ex = _advance_exec(prog, th.exec, nid)
         th = _evolve(th, exec=ex)
         if node.kind == "final":
-            th = _evolve(th, local=())
-            st = _without_accepters(st, th.tid)
+            th = _evolve(th, waiting=(), local=())
         st = st.with_thread(th)
 
     elif step.kind is StepKind.REGISTER_ACCEPT:
         th, nid = arg
-        acc = Accepter(th.tid, nid, ctx.programs[th.activity].node(nid).signals)
-        st = _evolve(st, accepters=tuple(sorted(st.accepters + (acc,), key=lambda a: (a.tid, a.node))))
+        st = st.with_thread(_evolve(th, waiting=tuple(sorted(th.waiting + (nid,)))))
 
     elif step.kind is StepKind.CONSUME_DEFERRED:
-        acc, occ = arg
-        th = st.thread(acc.tid)
-        st = _without_accepters(_evolve(st, deferred=_without(st.deferred, occ)), acc.tid, acc.node)
-        st = st.with_thread(_evolve(th, local=th.local + ((acc.node, occ),)))
+        th, nid, occ = arg
+        st = _evolve(st, deferred=_without(st.deferred, occ)).with_thread(_route(th, nid, occ))
 
     elif step.kind is StepKind.DELIVER:
         st = _evolve(st, in_flight=_without(st.in_flight, arg), queue_regular=st.queue_regular + (arg,))
@@ -760,7 +744,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             th = _do_thread_for(st, cur.path)
             if th is not None:
                 extra.append(("live", "yes" if not th.finished else "no"))
-                st = _without_accepters(st.without_thread(th.tid), th.tid)
+                st = st.without_thread(th.tid)
             else:
                 extra.append(("live", "no"))
             st = _advance_leg(ctx, st, leg)
@@ -791,8 +775,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
 
         else:  # StartDoActivity
             v = ctx.vertex[cur.path]
-            inv = InvocationOccurrence(st.next_seq)
-            th = DoThread(st.next_tid, cur.path, v.do_activity, invoked=False, local=((-1, inv),))
+            th = DoThread(st.next_tid, cur.path, v.do_activity, InvocationOccurrence(st.next_seq))
             st = _evolve(st.with_thread(th), next_seq=st.next_seq + 1, next_tid=st.next_tid + 1)
             extra += [("thread", th.label()), ("activity", v.do_activity)]
             st = _advance_leg(ctx, st, leg)

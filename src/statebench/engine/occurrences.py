@@ -8,8 +8,8 @@ Three occurrence kinds flow through the machinery:
 - CompletionOccurrence: emitted when a state finishes its internal work.
   These jump the queue: the pool keeps them in a separate front section that
   is always dispatched before regular signal occurrences.
-- InvocationOccurrence: the start event a doActivity receives in its own
-  local pool; it never enters the machine pool.
+- InvocationOccurrence: the start event of a doActivity, held by its thread
+  until InitDoActivity takes it; it never enters the machine pool.
 """
 
 from __future__ import annotations

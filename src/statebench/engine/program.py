@@ -40,9 +40,6 @@ class Program:
     nodes: tuple[ProgNode, ...]
     entry: Optional[int]           # None when the body is empty
 
-    def node(self, nid: int) -> ProgNode:
-        return self.nodes[nid]
-
 
 def describe(node: ProgNode) -> str:
     if node.kind == "task":

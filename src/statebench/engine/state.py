@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Union
 
-from .occurrences import CompletionOccurrence, Occurrence, SignalOccurrence
+from .occurrences import CompletionOccurrence, InvocationOccurrence, Occurrence, SignalOccurrence
 
 Path = tuple[str, ...]
 
@@ -96,18 +96,21 @@ class LegThread:
 
 @dataclass(frozen=True)
 class DoThread:
-    """A running doActivity. Owns a local pool of routed occurrences."""
+    """A running doActivity. It owns its start event until InitDoActivity
+    takes it, its wait points (the accept nodes where a strand registered
+    with the dispatcher) and a local pool of the occurrences routed to them."""
 
     tid: int
     state: Path
     activity: str
-    invoked: bool = False          # InvocationOccurrence consumed yet?
+    invocation: Optional[InvocationOccurrence] = None   # the start event, until taken
     exec: ActivityExec = ActivityExec(())
+    waiting: tuple[int, ...] = ()  # registered accept node ids, ascending
     local: tuple[tuple[int, Occurrence], ...] = ()   # (wait point node id, occurrence)
 
     @property
     def finished(self) -> bool:
-        return self.invoked and not self.exec.strands
+        return self.invocation is None and not self.exec.strands
 
     def label(self) -> str:
         return f"do{self.tid}"
@@ -119,18 +122,9 @@ Thread = Union[LegThread, DoThread]
 # --- dispatch bookkeeping ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Accepter:
-    """A doActivity strand parked at an accept node, visible to dispatch."""
-
-    tid: int
-    node: int                      # wait point: the accept node id
-    signals: tuple[str, ...]
-
-
 # Option forms inside PendingDispatch:
 #   ("sm", (transition_id, ...))   fire these non-conflicting transitions
-#   ("do", tid, node)              route to that accepter's wait point
+#   ("do", tid, node)              route to that thread's wait point
 #   ("defer",)                     move to the deferred pool
 #   ("discard",)                   drop
 # transition_id = (region path joined with ".", transition name)
@@ -154,7 +148,6 @@ class RuntimeState:
     deferred: tuple[SignalOccurrence, ...] = ()
     in_flight: tuple[SignalOccurrence, ...] = ()
     threads: tuple[Thread, ...] = ()
-    accepters: tuple[Accepter, ...] = ()
     vars: tuple[tuple[str, int], ...] = ()
     pending: Optional[PendingDispatch] = None
     rtc_index: int = 0             # ordinal of the most recent run-to-completion step

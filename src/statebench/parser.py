@@ -1,10 +1,11 @@
 """Parser and pretty-printer for the .psm model and .scn scenario formats.
 
-Hand-rolled recursive descent over a small token stream. Every diagnostic
-carries a SourceSpan; on a syntax error the parser records it and skips to
-the next ';' or block boundary, so one bad statement never hides the rest of
-the file. parse_model also runs model validation, meaning a ParseResult with
-ok=True always holds an executable model.
+Hand-rolled recursive descent over a small token stream. Every diagnostic,
+syntax or validation, is a `model.ModelError` with a SourceSpan; on a syntax
+error the parser records it and skips to the next ';' or block boundary, so
+one bad statement never hides the rest of the file. parse_model also runs
+model validation, meaning a ParseResult with ok=True always holds an
+executable model.
 
 Example::
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import os
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import model as M
@@ -49,24 +50,10 @@ class Token:
         return M.SourceSpan(file, self.line, self.column, max(1, len(self.text)))
 
 
-@dataclass(frozen=True)
-class ParseError:
-    code: str
-    message: str
-    span: Optional[M.SourceSpan] = field(default=None, compare=False)
-
-    def __str__(self) -> str:
-        where = f" at {self.span.label()}" if self.span else ""
-        return f"{self.code}: {self.message}{where}"
-
-
-Diagnostic = Union[ParseError, M.ModelError]
-
-
 @dataclass
 class ParseResult:
     model: Optional[M.MachineModel]
-    errors: list[Diagnostic]
+    errors: list[M.ModelError]
 
     @property
     def ok(self) -> bool:
@@ -76,7 +63,7 @@ class ParseResult:
 @dataclass
 class ScenarioResult:
     scenario: Optional[S.Scenario]
-    errors: list[Diagnostic]
+    errors: list[M.ModelError]
 
     @property
     def ok(self) -> bool:
@@ -84,7 +71,7 @@ class ScenarioResult:
 
 
 class ParseFailure(Exception):
-    def __init__(self, errors: list[Diagnostic]):
+    def __init__(self, errors: list[M.ModelError]):
         super().__init__("; ".join(str(e) for e in errors))
         self.errors = errors
 
@@ -92,7 +79,7 @@ class ParseFailure(Exception):
 # --- lexer -------------------------------------------------------------------
 
 
-def _lex(text: str, file: str, errors: list[Diagnostic]) -> list[Token]:
+def _lex(text: str, file: str, errors: list[M.ModelError]) -> list[Token]:
     tokens: list[Token] = []
     line, col, i = 1, 1, 0
     n = len(text)
@@ -134,8 +121,8 @@ def _lex(text: str, file: str, errors: list[Diagnostic]) -> list[Token]:
                 col += len(p)
                 break
         else:
-            errors.append(ParseError("BadCharacter", f"unexpected character {ch!r}",
-                                     M.SourceSpan(file, line, col)))
+            errors.append(M.ModelError("BadCharacter", f"unexpected character {ch!r}",
+                                       M.SourceSpan(file, line, col)))
             i += 1
             col += 1
     tokens.append(Token("eof", "", line, col))
@@ -146,7 +133,7 @@ def _lex(text: str, file: str, errors: list[Diagnostic]) -> list[Token]:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], file: str, errors: list[Diagnostic]):
+    def __init__(self, tokens: list[Token], file: str, errors: list[M.ModelError]):
         self.tokens = tokens
         self.pos = 0
         self.file = file
@@ -170,7 +157,7 @@ class _Cursor:
 
     def error(self, code: str, message: str, tok: Optional[Token] = None) -> None:
         tok = tok or self.peek()
-        self.errors.append(ParseError(code, message, tok.span(self.file)))
+        self.errors.append(M.ModelError(code, message, tok.span(self.file)))
 
     def expect(self, kind: str, what: str) -> Optional[Token]:
         if self.at(kind):
@@ -222,7 +209,7 @@ class _Recover(Exception):
 
 
 def parse_model(text: str, file: str = "<string>") -> ParseResult:
-    errors: list[Diagnostic] = []
+    errors: list[M.ModelError] = []
     tokens = _lex(text, file, errors)
     cur = _Cursor(tokens, file, errors)
     machine: Optional[M.MachineModel] = None
@@ -513,7 +500,7 @@ def _parse_term(cur: _Cursor) -> Union[str, int]:
 
 def parse_scenario(text: str, machine: M.MachineModel,
                    file: str = "<string>") -> ScenarioResult:
-    errors: list[Diagnostic] = []
+    errors: list[M.ModelError] = []
     tokens = _lex(text, file, errors)
     cur = _Cursor(tokens, file, errors)
     scenario: Optional[S.Scenario] = None

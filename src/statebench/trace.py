@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 Payload = tuple[tuple[str, "str | int"], ...]
+VERSION = 1                        # of the structured rendering
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class Trace:
     def to_json(self) -> str:
         doc = {
             "format": "statebench-trace",
-            "version": 1,
+            "version": VERSION,
             "model": self.model,
             "scenario": self.scenario,
             "strategy": self.strategy,
@@ -101,27 +102,33 @@ class Trace:
 
 def from_json(text: str) -> Trace:
     """The trace in a structured rendering. ValueError for any text that is
-    not a well-formed trace document."""
+    not a well-formed trace document of this version, records numbered in
+    order."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "statebench-trace":
         raise ValueError("not a trace document")
+    if doc.get("version") != VERSION:
+        raise ValueError(f"unsupported trace version {doc.get('version')!r}")
     try:
-        records = tuple(
-            Record(
-                thread=r["thread"],
-                kind=r["kind"],
-                payload=tuple(sorted((k, v) for k, v in r["payload"].items())),
-                pool=r["pool"],
-                rtc=r["rtc"],
-                obs=tuple(r["obs"]) if r["obs"] else None,
-                step=r["step"],
-            )
-            for r in doc["records"]
-        )
+        records = tuple(_record(i, r) for i, r in enumerate(doc["records"]))
         meta = tuple(sorted(doc.get("meta", {}).items()))
         return Trace(records, doc["model"], doc["scenario"], doc["strategy"], doc["seed"], meta)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed trace document ({type(exc).__name__}: {exc})") from None
+
+
+def _record(i: int, r: dict) -> Record:
+    if r["i"] != i:
+        raise ValueError(f"record {i} is numbered {r['i']!r}")
+    return Record(
+        thread=r["thread"],
+        kind=r["kind"],
+        payload=tuple(sorted((k, v) for k, v in r["payload"].items())),
+        pool=r["pool"],
+        rtc=r["rtc"],
+        obs=tuple(r["obs"]) if r["obs"] else None,
+        step=r["step"],
+    )
 
 
 def first_divergence(a: Trace, b: Trace) -> Union[int, str, None]:

@@ -159,7 +159,21 @@ def test_run_with_script_strategy(tmp_path, capsys):
     assert code == OK
 
 
-@pytest.mark.parametrize("text", ["not json at all", '{"format":"nope"}', '{"format":"statebench-trace"}'])
+def edited_golden(edit) -> str:
+    """The golden first-strategy trace of measurement, edited by `edit`."""
+    doc = json.loads((fixture_path("golden") / "measurement.measurement.first.json").read_text())
+    edit(doc)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    "not json at all",
+    '{"format":"nope"}',
+    '{"format":"statebench-trace"}',
+    '{"format":"statebench-trace","version":1}',
+    pytest.param(edited_golden(lambda doc: doc.update(version=7)), id="version-7"),
+    pytest.param(edited_golden(lambda doc: doc["records"][0].update(i=5)), id="record-0-numbered-5"),
+])
 @pytest.mark.parametrize("how", ["replay", "script"])
 def test_bad_trace_file_is_an_input_error(tmp_path, capsys, text, how):
     trace = tmp_path / "t.json"

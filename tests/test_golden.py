@@ -1,4 +1,4 @@
-"""Golden traces: schedules written by an earlier version of the kernel.
+"""Golden traces and explorations: results written by an earlier version.
 
 A trace replayed by the code that made it cannot show the kernel drifting
 between versions; these files can. Each was written by
@@ -6,20 +6,39 @@ between versions; these files can. Each was written by
 and is named MODEL.SCENARIO.STRATEGY.json. Replaying its script must give the
 file back byte for byte, and so must running its strategy again, which also
 pins the order of every enabled-step list the strategy chose from.
+
+`explorations.json` pins what `explore` finds on every fixture scenario under
+the default bounds and four tighter ones: the exact counts, the three
+partitions (class count, trace count and a digest each), every verdict with
+its witness and counterexample, and a digest of the materialized traces. Node and edge counts are left out: they count
+the walk's work, not its results. `python tests/test_golden.py` rewrites the
+file from the code at hand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURE_PAIRS, FIXTURES
+from statebench.cli import expectation_text
 from statebench.engine.driver import FirstStrategy, RandomStrategy, ScriptStrategy, run
+from statebench.explorer import ExploreBounds, explore
 from statebench.parser import load_model, load_scenario
 from statebench.trace import from_json
 
 GOLDEN = sorted((FIXTURES / "golden").glob("*.json"))
+EXPLORATIONS = FIXTURES / "explorations.json"
+BOUNDS = {
+    "default": ExploreBounds(),
+    "max_micro_steps=10": ExploreBounds(max_micro_steps=10),
+    "max_micro_steps=25": ExploreBounds(max_micro_steps=25),
+    "max_micro_steps=31": ExploreBounds(max_micro_steps=31),
+    "max_pool=1": ExploreBounds(max_pool=1),
+}
 
 
 def golden(path):
@@ -47,3 +66,55 @@ def test_golden_trace_regenerates_from_its_strategy(path):
     seed = from_json(text).seed
     strategy = FirstStrategy() if seed is None else RandomStrategy(seed)
     assert run(m, scn, strategy).trace.to_json() == text
+
+
+def exploration(model_name, scn_name, bounds) -> dict:
+    """What `explore` finds for one fixture scenario under `bounds`, as JSON values."""
+    m = load_model(str(FIXTURES / f"{model_name}.psm"))
+    ts = explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m), bounds)
+
+    def classes(partition):  # measurement's has 2,240 classes, so a digest
+        text = json.dumps([[key, cnt] for key, cnt in partition.items()])
+        return [len(partition), sum(partition.values()), hashlib.sha256(text.encode()).hexdigest()]
+
+    def text(trace):
+        return None if trace is None else trace.to_json()
+
+    traces = "".join(t.to_json() for t in ts.traces)
+    return {
+        "total": ts.total,
+        "deadlocks": ts.stats.deadlocks,
+        "truncated": ts.stats.truncated,
+        "discard_traces": ts.stats.discard_traces,
+        "partition": classes(ts.partition),
+        "signal_partition": classes(ts.signal_partition()),
+        "normalized_partition": classes(ts.normalized_partition()),
+        "verdicts": [
+            {
+                "expectation": expectation_text(v.expectation),
+                "verdict": v.verdict,
+                "witness": text(v.witness),
+                "counterexample": text(v.counterexample),
+            }
+            for v in ts.check_all()
+        ],
+        "traces": [len(ts.traces), ts.truncated_traces, hashlib.sha256(traces.encode()).hexdigest()],
+    }
+
+
+def explorations(model_name, scn_name) -> dict:
+    """`exploration` under each of `BOUNDS`, through a JSON round trip, so
+    tuples compare as the lists the file holds."""
+    found = {name: exploration(model_name, scn_name, b) for name, b in BOUNDS.items()}
+    return json.loads(json.dumps(found))
+
+
+@pytest.mark.parametrize("model_name,scn_name", FIXTURE_PAIRS)
+def test_exploration_matches_golden(model_name, scn_name):
+    golden = json.loads(EXPLORATIONS.read_text(encoding="utf-8"))
+    assert explorations(model_name, scn_name) == golden[f"{model_name}.{scn_name}"]
+
+
+if __name__ == "__main__":
+    found = {f"{model_name}.{scn_name}": explorations(model_name, scn_name) for model_name, scn_name in FIXTURE_PAIRS}
+    EXPLORATIONS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")

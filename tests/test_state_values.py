@@ -5,6 +5,8 @@ the dataclasses' `__init__`, each `MicroStep` renders its key once, and a
 state keeps its pool digest next to the pools it was taken from. These
 tests wrap `apply` and `inject` through the pruned walks of every fixture
 scenario and check each call against values rebuilt from scratch here.
+They also check that each doActivity thread owns its wait points and its
+start event consistently.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import pytest
 
 from conftest import FIXTURE_PAIRS, FIXTURES
 from statebench.engine import kernel
-from statebench.engine.state import RuntimeState
+from statebench.engine.state import DoThread, RuntimeState
+from statebench.engine.steps import StepKind
 from statebench.explorer import explore
-from statebench.parser import load_model, load_scenario
+from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
 
 
 def rebuilt(value):
@@ -41,11 +44,36 @@ def parts(st: RuntimeState):
     yield st
     if st.pending is not None:
         yield st.pending
-    yield from st.accepters
     for th in st.threads:
         yield th
         if th.exec is not None:
             yield th.exec
+
+
+def check_threads(ctx, pre: RuntimeState, step, post: RuntimeState) -> int:
+    """The doActivity threads of `post`, reached from `pre` by `step`, own
+    their wait points and start event consistently; returns the number of
+    wait points in `post`."""
+    before = {th.tid: th for th in pre.threads}
+    waiting = 0
+    for th in post.threads:
+        if not isinstance(th, DoThread):
+            continue
+        nodes = ctx.programs[th.activity].nodes
+        routed = {nid for nid, _ in th.local}
+        assert all(a < b for a, b in zip(th.waiting, th.waiting[1:])), th.waiting  # strictly ascending
+        for nid in th.waiting:  # a live strand parked at an accept node, nothing routed to it yet
+            assert nid in th.exec.strands and nodes[nid].kind == "accept" and nid not in routed
+        assert not (th.finished and th.waiting)
+        if th.invocation is not None:  # not yet initialised: no strand, no wait point, nothing routed
+            assert not (th.exec.strands or th.waiting or th.local)
+        old = before.get(th.tid)
+        if old is not None and old.invocation != th.invocation:  # only InitDoActivity takes it
+            assert th.invocation is None and step.kind is StepKind.INIT_DO and step.thread == th.label()
+        elif old is None:  # only StartDoActivity starts a thread, holding its start event
+            assert th.invocation is not None and step.kind is StepKind.START_DO
+        waiting += len(th.waiting)
+    return waiting
 
 
 def fresh_key(step) -> str:
@@ -61,7 +89,7 @@ def fresh_digest(st: RuntimeState) -> str:
 @pytest.fixture
 def checked(monkeypatch):
     """Wraps `enabled_steps`, `apply` and `inject`; counts checked steps."""
-    counts = {"steps": 0, "successors": 0}
+    counts = {"steps": 0, "successors": 0, "wait points": 0}
     enabled, apply, inject = kernel.enabled_steps, kernel.apply, kernel.inject
 
     def checking_enabled(ctx, st):
@@ -84,6 +112,7 @@ def checked(monkeypatch):
     def checking_apply(ctx, st, step):
         post, record = successor(apply, ctx, st, step)
         assert record.step == step.key() == fresh_key(step)
+        counts["wait points"] += check_threads(ctx, st, step, post)
         return post, record
 
     monkeypatch.setattr(kernel, "enabled_steps", checking_enabled)
@@ -97,4 +126,22 @@ def test_updates_keep_value_semantics(model_name, scn_name, checked):
     m = load_model(str(FIXTURES / f"{model_name}.psm"))
     ts = explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m))
     assert checked["steps"] and checked["successors"] >= ts.stats.edges
+    accepts = any(n.kind == "accept" for prog in ts.ctx.programs.values() for n in prog.nodes)
+    assert checked["wait points"] or not accepts
 
+
+# a doActivity parked at three accept nodes at once, one of them before a
+# final node: its wait points register in every order, and `stop` can end
+# the thread while the others still wait
+WAIT_POINTS = """machine WaitPoints {
+  signals a, b, stop;
+  activity w { par { accept b; } and { accept a; } and { accept stop; final; } }
+  region main { initial -> S; state S { do w; } }
+}
+"""
+
+
+def test_wait_points_of_parallel_accepts(checked):
+    m = parse_model(WAIT_POINTS).model
+    ts = explore(m, parse_scenario("scenario all { inject a; inject stop; inject b; }", m).scenario)
+    assert checked["wait points"] and checked["successors"] >= ts.stats.edges
