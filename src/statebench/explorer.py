@@ -23,6 +23,21 @@ list shares, and one tuple per distinct obs. The sharing is exact (equal
 values are interchangeable), and its tables are local to the walk, so no
 cache outlives the result.
 
+A node's memo key is a flat tuple of small ints: one id per compared
+`RuntimeState` field, then the scenario index and the depth. The ids come
+from one table local to the walk that gives each distinct component value
+(by `==`) the next id, so equal values get one id, and the memo holds one
+object per distinct value, however many equal copies the walk builds. This
+is SPIN's collapse compression (Holzmann, "State compression in SPIN",
+1997). A step leaves most components of its state identical (`is`) to the
+parent's, and those keep the parent's ids, so only the components the step
+changed are hashed.
+The key is exact: ids are a function of `==` classes, so two keys are equal
+exactly when the states' `key()` tuples are, and the DAG is the one a key of
+whole states would give. Hash compaction and bitstate hashing would store
+less, but let two different states share a key now and then, and so lose the
+exact counts. An unpruned walk shares nothing and builds no key.
+
 Every query runs on three generic pieces, all iterative, so no depth of the
 DAG can exhaust the interpreter's stack:
 
@@ -432,46 +447,60 @@ def explore(
 ) -> TraceSet:
     """Walk every schedule of `scenario` on the machine.
 
-    prune=False disables state sharing (every path gets its own subtree);
-    the result must carry exactly the same complete traces, which is what the
-    pruning-soundness tests assert. Only feasible for small models."""
+    prune=False disables state sharing (every path gets its own subtree,
+    and no memo key is built); the result must carry exactly the same
+    complete traces, which is what the pruning-soundness tests assert. Only
+    feasible for small models."""
     ctx = source if isinstance(source, ModelIndex) else K.build_index(source)
     bnd = bounds or ExploreBounds()
     nodes: list[Node] = []
-    keymap: dict[tuple, int] = {}
+    keymap: dict[tuple[int, ...], int] = {}
+    comp_ids: dict[Any, int] = {}  # component value -> id, one id per == class
     # the edge labels of this walk: one shared (records, obs) pair per
     # distinct record list, and one shared tuple per distinct obs
     labels: dict[tuple[Record, ...], tuple[tuple[Record, ...], tuple[tuple[str, str], ...]]] = {}
     observed: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
-    # frames of the nodes being expanded: memo key, state, scenario index,
-    # depth (records on the path), step iterator, edges so far, and the
-    # label of the edge from the frame below
+    # frames of the nodes being expanded: memo key, state components, state,
+    # scenario index, depth (records on the path), step iterator, edges so
+    # far, and the label of the edge from the frame below
     stack: list[tuple] = []
 
-    def finish(key: tuple, node: Node, label: Optional[tuple]) -> None:
+    def finish(key: Optional[tuple], node: Node, label: Optional[tuple]) -> None:
         """Numbers a finished new node, children before parents so that the
         root is last, and links it by `label` to the frame on top of the stack."""
         nodes.append(node)
         if prune:
             keymap[key] = len(nodes) - 1
         if stack:
-            stack[-1][5].append(Edge(label[0], len(nodes) - 1, label[1]))
+            stack[-1][6].append(Edge(label[0], len(nodes) - 1, label[1]))
 
     def visit(st: RuntimeState, idx: int, depth: int, label: Optional[tuple]) -> None:
         """The node of (st, idx, depth), reached by `label`; a new node with
         steps goes on the stack, to be finished after its last child."""
-        key = (st.key(), idx, depth)
-        if prune and key in keymap:  # never the root: the stack holds its parent
-            stack[-1][5].append(Edge(label[0], keymap[key], label[1]))
-            return
+        key = comps = None
+        if prune:
+            comps = st.key()
+            if stack:  # a component the step left identical keeps the parent's id
+                pkey, pcomps = stack[-1][:2]
+                ids = [
+                    p if c is pc else comp_ids.setdefault(c, len(comp_ids))
+                    for c, pc, p in zip(comps, pcomps, pkey)
+                ]
+            else:
+                ids = [comp_ids.setdefault(c, len(comp_ids)) for c in comps]
+            key = (*ids, idx, depth)
+            nid = keymap.get(key)
+            if nid is not None:  # never the root: the stack holds its parent
+                stack[-1][6].append(Edge(label[0], nid, label[1]))
+                return
         stats.nodes += 1
         steps = K.enabled_steps(ctx, st)
         if steps and (depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool):
             stats.truncated += 1
         elif steps:
-            stack.append((key, st, idx, depth, iter(steps), [], label))
+            stack.append((key, comps, st, idx, depth, iter(steps), [], label))
             return
         elif idx < scn_len:
             stats.deadlocks += 1
@@ -481,7 +510,7 @@ def explore(
     st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records)
     visit(st0, idx0, len(boot_records), None)
     while stack:
-        key, st, idx, depth, steps, edges, label = stack[-1]
+        key, _, st, idx, depth, steps, edges, label = stack[-1]
         step = next(steps, None)
         if step is None:
             stack.pop()

@@ -20,6 +20,7 @@ import pytest
 from conftest import machine, scenario_for
 from flat_oracle import gen_flat_machine, gen_flat_scenario
 from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
+from statebench.engine.state import RuntimeState
 from statebench.explorer import ExploreBounds, check, explore
 from statebench.parser import parse_model, parse_scenario
 from statebench.scenario import Emits, EventuallyActive, NeverDiscards
@@ -535,6 +536,18 @@ def test_equal_edge_labels_are_shared(s2):
     assert len({id(e.obs) for e in edges}) == len({e.obs for e in edges})
     assert not hasattr(edges[0], "__dict__")
     assert not hasattr(ts.nodes[0], "__dict__")
+
+
+def test_memo_key_is_built_once_per_visit_and_only_when_pruning(s2, monkeypatch):
+    calls = []
+    key = RuntimeState.key
+    monkeypatch.setattr(RuntimeState, "key", lambda st: calls.append(st) or key(st))
+    ts = explore(*s2)
+    # the root, then the child of every edge
+    assert (len(ts.nodes), ts.stats.edges, len(calls)) == (885, 1477, 1478)
+    calls.clear()
+    full = explored("do-simple", prune=False)
+    assert full.total == 10 and calls == []
 
 
 def test_dag_bytes_per_node(s2):

@@ -10,9 +10,10 @@ pins the order of every enabled-step list the strategy chose from.
 `explorations.json` pins what `explore` finds on every fixture scenario under
 the default bounds and four tighter ones: the exact counts, the three
 partitions (class count, trace count and a digest each), every verdict with
-its witness and counterexample, and a digest of the materialized traces. Node and edge counts are left out: they count
-the walk's work, not its results. `python tests/test_golden.py` rewrites the
-file from the code at hand.
+its witness and counterexample, and a digest of the materialized traces. It
+also pins the DAG's node and edge counts: a memo key that split equal states
+would leave every count the same and only grow the DAG.
+`python tests/test_golden.py` rewrites the file from the code at hand.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def exploration(model_name, scn_name, bounds) -> dict:
 
     traces = "".join(t.to_json() for t in ts.traces)
     return {
+        "nodes": ts.stats.nodes,
+        "edges": ts.stats.edges,
         "total": ts.total,
         "deadlocks": ts.stats.deadlocks,
         "truncated": ts.stats.truncated,
