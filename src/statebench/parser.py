@@ -1,11 +1,24 @@
 """Parser and pretty-printer for the .psm model and .scn scenario formats.
 
 Hand-rolled recursive descent over a small token stream. Every diagnostic,
-syntax or validation, is a `model.ModelError` with a SourceSpan; on a syntax
-error the parser records it and skips to the next ';' or block boundary, so
-one bad statement never hides the rest of the file. parse_model also runs
-model validation, meaning a ParseResult with ok=True always holds an
-executable model.
+syntax or validation, is a `model.ModelError` with a SourceSpan. parse_model
+also runs model validation, meaning a ParseResult with ok=True always holds
+an executable model.
+
+The lexer is one pattern, `_TOKEN`: a newline, a run of blanks, a `//`
+comment, a word (`\\w+`) or a mark of `_PUNCT`, tried in that order. A word
+that starts with a letter or `_` is a name, and a keyword is its own token
+kind. A word that starts with a digit gives its leading run of
+`str.isdigit` characters as an integer, and the rest is lexed again. Any
+other character is a BadCharacter diagnostic.
+
+Recovery is panic mode. Every `{ ... }` body is read by the same loop,
+``while cur.more(): with cur.statement(): ...``. A syntax error records its
+diagnostic and raises `_Recover`; the statement guard catches it and skips
+to the next ';' or block boundary, so one bad statement never hides the rest
+of the file. The guard is the cursor's own `__enter__`/`__exit__`, so it
+adds no stack frame per nesting level, and the nesting depth a model may
+reach is set by the grammar's own recursion alone.
 
 Example::
 
@@ -20,9 +33,11 @@ Example::
 from __future__ import annotations
 
 import os
+import re
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import takewhile
+from typing import Callable, NoReturn, Optional, TypeVar, Union
 
 from . import model as M
 from . import scenario as S
@@ -38,10 +53,12 @@ KEYWORDS = {
 _PUNCT = ("->", ":=", "==", "!=", "{", "}", ";", ":", ",", "|", "/", "[",
           "]", "<", ">", "+", "-", ".")
 
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(\w+)|(" + "|".join(map(re.escape, _PUNCT)) + ")")
+
 
 @dataclass(frozen=True)
 class Token:
-    kind: str        # "ident", "int", "eof", or the punctuation text itself
+    kind: str        # "ident", "int", "eof", a keyword, or the punctuation text itself
     text: str
     line: int
     column: int
@@ -81,55 +98,38 @@ class ParseFailure(Exception):
 
 def _lex(text: str, file: str, errors: list[M.ModelError]) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
+    line, start, i, n = 1, 0, 0, len(text)
+    match = _TOKEN.match
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            errors.append(M.ModelError("BadCharacter", f"unexpected character {ch!r}",
-                                       M.SourceSpan(file, line, col)))
-            i += 1
-            col += 1
-    tokens.append(Token("eof", "", line, col))
+        m = match(text, i)
+        group, j = (m.lastindex, m.end()) if m else (0, i + 1)
+        if group is None:  # blanks or a comment
+            pass
+        elif group == 1:
+            line, start = line + 1, j
+        elif group == 3:
+            tokens.append(Token(m[3], m[3], line, i - start + 1))
+        elif group == 2 and (text[i].isalpha() or text[i] == "_"):
+            word = m[2]
+            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, i - start + 1))
+        elif group == 2 and text[i].isdigit():
+            digits = "".join(takewhile(str.isdigit, m[2]))
+            tokens.append(Token("int", digits, line, i - start + 1))
+            j = i + len(digits)
+        else:  # no match, or a word that starts with neither a letter nor a digit
+            errors.append(M.ModelError("BadCharacter", f"unexpected character {text[i]!r}",
+                                       M.SourceSpan(file, line, i - start + 1)))
+            j = i + 1
+        i = j
+    tokens.append(Token("eof", "", line, n - start + 1))
     return tokens
 
 
 # --- token cursor ------------------------------------------------------------
+
+
+class _Recover(Exception):
+    pass
 
 
 class _Cursor:
@@ -142,12 +142,8 @@ class _Cursor:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def at_keyword(self, word: str) -> bool:
-        return self.at("ident", word)
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -155,338 +151,299 @@ class _Cursor:
             self.pos += 1
         return tok
 
-    def error(self, code: str, message: str, tok: Optional[Token] = None) -> None:
-        tok = tok or self.peek()
-        self.errors.append(M.ModelError(code, message, tok.span(self.file)))
+    def take(self, kind: str) -> Optional[Token]:
+        """The current token, consumed, if it is of `kind`; else None."""
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            return None
+        self.pos += 1
+        return tok
 
-    def expect(self, kind: str, what: str) -> Optional[Token]:
-        if self.at(kind):
-            return self.advance()
-        got = self.peek()
-        shown = got.text or "end of file"
-        self.error("Expected", f"expected {what}, got {shown!r}")
+    def fail(self, code: str, message: str, tok: Optional[Token] = None) -> NoReturn:
+        self.errors.append(M.ModelError(code, message, (tok or self.peek()).span(self.file)))
         raise _Recover()
+
+    def expect(self, kind: str, what: Optional[str] = None) -> Token:
+        """Take a token of `kind`; `what` names it in the diagnostic, which
+        otherwise quotes the kind (a keyword or punctuation mark)."""
+        tok = self.take(kind)
+        if tok is None:
+            self.fail("Expected", f"expected {what or repr(kind)}, got {self.peek().text or 'end of file'!r}")
+        return tok
 
     def expect_ident(self, what: str) -> str:
-        tok = self.expect("ident", what)
-        assert tok is not None
-        if tok.text in KEYWORDS:
-            self.error("Expected", f"expected {what}, got keyword {tok.text!r}", tok)
-            raise _Recover()
-        return tok.text
+        tok = self.peek()
+        if tok.kind in KEYWORDS:
+            self.fail("Expected", f"expected {what}, got keyword {tok.text!r}")
+        return self.expect("ident", what).text
 
-    def expect_keyword(self, word: str) -> Token:
-        if self.at_keyword(word):
-            return self.advance()
-        got = self.peek()
-        self.error("Expected", f"expected {word!r}, got {got.text or 'end of file'!r}")
-        raise _Recover()
+    def names(self, sep: str, what: str) -> list[str]:
+        """One or more names separated by `sep`."""
+        found = [self.expect_ident(what)]
+        while self.take(sep):
+            found.append(self.expect_ident(what))
+        return found
 
-    def skip_to_boundary(self) -> None:
-        """Panic-mode recovery: consume through the next ';' or to a '}'/eof."""
+    def end(self) -> None:
+        self.expect(";")
+
+    def more(self) -> bool:
+        """Whether the `{ ... }` body being read holds another statement; at
+        its end, take the closing '}'."""
+        if self.tokens[self.pos].kind not in ("}", "eof"):
+            return True
+        self.expect("}")
+        return False
+
+    def statement(self) -> _Cursor:
+        """The guard of one statement: ``with cur.statement(): ...``."""
+        return self
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: object, exc: object, tb: object) -> bool:
+        """On `_Recover`, skip through the next ';' or to a '}'/eof at the
+        statement's own depth (panic mode)."""
+        if kind is not _Recover:
+            return False
         depth = 0
         while True:
             tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "{":
-                depth += 1
-            elif tok.kind == "}":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif tok.kind == ";" and depth == 0:
-                self.advance()
-                return
+            if tok.kind == "eof" or (tok.kind == "}" and depth == 0):
+                return True
+            depth += (tok.kind == "{") - (tok.kind == "}")
             self.advance()
+            if tok.kind == ";" and depth == 0:
+                return True
 
 
-class _Recover(Exception):
-    pass
+_T = TypeVar("_T")
+_R = TypeVar("_R", ParseResult, ScenarioResult)
+
+
+def _parse(text: str, file: str, rule: Callable[[_Cursor], _T]) -> tuple[Optional[_T], list[M.ModelError]]:
+    """Lex and apply `rule`; the value is None if there is any diagnostic."""
+    errors: list[M.ModelError] = []
+    cur = _Cursor(_lex(text, file, errors), file, errors)
+    value = None
+    with cur.statement():
+        value = rule(cur)
+    return (None if errors else value), errors
+
+
+def _load(path: "str | os.PathLike[str]", parse: Callable[[str, str], _R]) -> _R:
+    """Read a UTF-8 file and parse it, raising ParseFailure on any diagnostic."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file: read() decodes it at once
+        lines = re.split(r"\r\n?|\n", exc.object[:exc.start].decode("utf-8"))
+        span = M.SourceSpan(str(path), len(lines), len(lines[-1]) + 1)
+        raise ParseFailure([M.ModelError("BadEncoding", f"file is not UTF-8 text: {exc.reason}", span)]) from None
+    result = parse(text, str(path))
+    if not result.ok:
+        raise ParseFailure(result.errors)
+    return result
 
 
 # --- model grammar -----------------------------------------------------------
 
 
 def parse_model(text: str, file: str = "<string>") -> ParseResult:
-    errors: list[M.ModelError] = []
-    tokens = _lex(text, file, errors)
-    cur = _Cursor(tokens, file, errors)
-    machine: Optional[M.MachineModel] = None
-    try:
-        machine = _parse_machine(cur)
-    except _Recover:
-        cur.skip_to_boundary()
-    if machine is not None and not errors:
-        errors.extend(M.validate(machine))
-    if errors:
-        return ParseResult(None, errors)
-    return ParseResult(machine, [])
+    machine, errors = _parse(text, file, _parse_machine)
+    if machine is not None:
+        errors = M.validate(machine)
+    return ParseResult(None if errors else machine, errors)
 
 
 def load_model(path: "str | os.PathLike[str]") -> M.MachineModel:
     """Parse a machine file, raising ParseFailure on any diagnostic."""
-    with open(path, encoding="utf-8") as fh:
-        result = parse_model(fh.read(), str(path))
-    if not result.ok:
-        raise ParseFailure(result.errors)
-    assert result.model is not None
-    return result.model
+    model = _load(path, parse_model).model
+    assert model is not None  # _load returns only a result that is ok
+    return model
 
 
 def _parse_machine(cur: _Cursor) -> M.MachineModel:
-    head = cur.expect_keyword("machine")
+    head = cur.expect("machine")
     name = cur.expect_ident("machine name")
-    cur.expect("{", "'{'")
     signals: list[str] = []
     variables: list[str] = []
     regions: list[M.Region] = []
     activities: list[M.Activity] = []
-    while not cur.at("}") and not cur.at("eof"):
-        try:
-            if cur.at_keyword("signals"):
-                cur.advance()
-                signals.extend(_parse_name_list(cur))
-                cur.expect(";", "';'")
-            elif cur.at_keyword("vars"):
-                cur.advance()
-                variables.extend(_parse_name_list(cur))
-                cur.expect(";", "';'")
-            elif cur.at_keyword("activity"):
+    cur.expect("{")
+    while cur.more():
+        with cur.statement():
+            if cur.take("signals"):
+                signals.extend(cur.names(",", "name"))
+                cur.end()
+            elif cur.take("vars"):
+                variables.extend(cur.names(",", "name"))
+                cur.end()
+            elif cur.at("activity"):
                 activities.append(_parse_activity(cur))
-            elif cur.at_keyword("region"):
+            elif cur.at("region"):
                 regions.append(_parse_region(cur))
             else:
-                cur.error("Expected", f"expected signals/vars/activity/region, got {cur.peek().text!r}")
-                raise _Recover()
-        except _Recover:
-            cur.skip_to_boundary()
-    cur.expect("}", "'}'")
+                cur.fail("Expected", f"expected signals/vars/activity/region, got {cur.peek().text!r}")
     return M.MachineModel(name, tuple(signals), tuple(variables),
                           tuple(regions), tuple(activities),
                           span=head.span(cur.file))
 
 
-def _parse_name_list(cur: _Cursor) -> list[str]:
-    names = [cur.expect_ident("name")]
-    while cur.at(","):
-        cur.advance()
-        names.append(cur.expect_ident("name"))
-    return names
-
-
 def _parse_region(cur: _Cursor) -> M.Region:
-    head = cur.expect_keyword("region")
+    head = cur.expect("region")
     name = cur.expect_ident("region name")
-    cur.expect("{", "'{'")
     vertices: list[M.Vertex] = []
     transitions: list[M.Transition] = []
-    while not cur.at("}") and not cur.at("eof"):
-        try:
-            if cur.at_keyword("initial"):
-                tok = cur.advance()
-                cur.expect("->", "'->'")
+    cur.expect("{")
+    while cur.more():
+        with cur.statement():
+            tok = cur.peek()
+            if cur.take("initial"):
+                cur.expect("->")
                 target = cur.expect_ident("initial target")
-                effect = None
-                if cur.at("/"):
-                    cur.advance()
-                    effect = cur.expect_ident("effect activity")
-                cur.expect(";", "';'")
+                effect = cur.expect_ident("effect activity") if cur.take("/") else None
+                cur.end()
                 vertices.append(M.InitialPseudostate(span=tok.span(cur.file)))
                 transitions.append(M.Transition(
                     name=f"initial_{name}", source="", target=target,
                     kind=M.TransitionKind.EXTERNAL, effect=effect,
                     is_initial=True, span=tok.span(cur.file)))
-            elif cur.at_keyword("state"):
+            elif cur.at("state"):
                 vertices.append(_parse_state(cur))
-            elif cur.at_keyword("final"):
-                tok = cur.advance()
+            elif cur.take("final"):
                 vname = cur.expect_ident("final state name")
-                cur.expect(";", "';'")
+                cur.end()
                 vertices.append(M.FinalState(vname, span=tok.span(cur.file)))
-            elif cur.at_keyword("transition") or cur.at_keyword("internal"):
+            elif cur.at("transition") or cur.at("internal"):
                 transitions.append(_parse_transition(cur))
             else:
-                cur.error("Expected", f"expected a vertex or transition, got {cur.peek().text!r}")
-                raise _Recover()
-        except _Recover:
-            cur.skip_to_boundary()
-    cur.expect("}", "'}'")
+                cur.fail("Expected", f"expected a vertex or transition, got {tok.text!r}")
     return M.Region(name, tuple(vertices), tuple(transitions), span=head.span(cur.file))
 
 
 def _parse_state(cur: _Cursor) -> M.State:
-    head = cur.expect_keyword("state")
+    head = cur.expect("state")
     name = cur.expect_ident("state name")
-    entry = exit_ = do = None
+    behaviors: dict[str, Optional[str]] = {"entry": None, "exit": None, "do": None}
     defer: list[str] = []
     regions: list[M.Region] = []
-    cur.expect("{", "'{'")
-    while not cur.at("}") and not cur.at("eof"):
-        try:
-            if cur.at_keyword("entry"):
+    cur.expect("{")
+    while cur.more():
+        with cur.statement():
+            tok = cur.peek()
+            if tok.kind in behaviors:
                 cur.advance()
-                entry = cur.expect_ident("entry activity")
-                cur.expect(";", "';'")
-            elif cur.at_keyword("exit"):
-                cur.advance()
-                exit_ = cur.expect_ident("exit activity")
-                cur.expect(";", "';'")
-            elif cur.at_keyword("do"):
-                cur.advance()
-                do = cur.expect_ident("do activity")
-                cur.expect(";", "';'")
-            elif cur.at_keyword("defer"):
-                cur.advance()
-                defer.extend(_parse_name_list(cur))
-                cur.expect(";", "';'")
-            elif cur.at_keyword("region"):
+                behaviors[tok.kind] = cur.expect_ident(f"{tok.kind} activity")
+                cur.end()
+            elif cur.take("defer"):
+                defer.extend(cur.names(",", "name"))
+                cur.end()
+            elif cur.at("region"):
                 regions.append(_parse_region(cur))
             else:
-                cur.error("Expected", f"expected entry/exit/do/defer/region, got {cur.peek().text!r}")
-                raise _Recover()
-        except _Recover:
-            cur.skip_to_boundary()
-    cur.expect("}", "'}'")
-    return M.State(name, entry=entry, exit=exit_, do_activity=do,
-                   defer=tuple(defer), regions=tuple(regions),
-                   span=head.span(cur.file))
+                cur.fail("Expected", f"expected entry/exit/do/defer/region, got {tok.text!r}")
+    return M.State(name, entry=behaviors["entry"], exit=behaviors["exit"],
+                   do_activity=behaviors["do"], defer=tuple(defer),
+                   regions=tuple(regions), span=head.span(cur.file))
 
 
 def _parse_transition(cur: _Cursor) -> M.Transition:
     head = cur.advance()  # "transition" or "internal"
-    internal = head.text == "internal"
+    internal = head.kind == "internal"
     name = cur.expect_ident("transition name")
-    cur.expect(":", "':'")
-    source = cur.expect_ident("source state")
-    target = source
-    if internal:
-        kind = M.TransitionKind.INTERNAL
-    else:
-        cur.expect("->", "'->'")
+    cur.expect(":")
+    source = target = cur.expect_ident("source state")
+    if not internal:
+        cur.expect("->")
         target = cur.expect_ident("target state")
-        kind = M.TransitionKind.EXTERNAL
-    trigger = None
-    if cur.at_keyword("on"):
-        cur.advance()
-        trigger = cur.expect_ident("trigger signal")
-    elif not internal:
-        kind = M.TransitionKind.COMPLETION
-    guard = None
-    if cur.at("["):
-        guard = _parse_guard(cur)
-    effect = None
-    if cur.at("/"):
-        cur.advance()
-        effect = cur.expect_ident("effect activity")
-    cur.expect(";", "';'")
+    trigger = cur.expect_ident("trigger signal") if cur.take("on") else None
+    kind = (M.TransitionKind.INTERNAL if internal else
+            M.TransitionKind.COMPLETION if trigger is None else M.TransitionKind.EXTERNAL)
+    guard = _parse_guard(cur) if cur.take("[") else None
+    effect = cur.expect_ident("effect activity") if cur.take("/") else None
+    cur.end()
     return M.Transition(name=name, source=source, target=target, kind=kind,
                         trigger=trigger, guard=guard, effect=effect,
                         span=head.span(cur.file))
 
 
 def _parse_guard(cur: _Cursor) -> M.Guard:
-    cur.expect("[", "'['")
+    """The rest of a guard after its '['."""
     var = cur.expect_ident("guard variable")
     op_tok = cur.advance()
     if op_tok.text not in M.GUARD_OPS:
-        cur.error("Expected", f"expected comparison operator, got {op_tok.text!r}", op_tok)
-        raise _Recover()
+        cur.fail("Expected", f"expected comparison operator, got {op_tok.text!r}", op_tok)
     literal = _parse_int(cur)
-    cur.expect("]", "']'")
+    cur.expect("]")
     return M.Guard(var, op_tok.text, literal)
 
 
 def _parse_int(cur: _Cursor) -> int:
-    negative = False
-    if cur.at("-"):
-        cur.advance()
-        negative = True
+    negative = cur.take("-") is not None
     tok = cur.expect("int", "integer literal")
-    assert tok is not None
     try:
         value = int(tok.text)
     except ValueError:  # a digit such as '²', or more digits than int() reads
-        cur.error("BadInteger", f"integer literal {tok.text[:20]!r}: not ASCII digits, or too many digits", tok)
-        raise _Recover() from None
+        cur.fail("BadInteger", f"integer literal {tok.text[:20]!r}: not ASCII digits, or too many digits", tok)
     return -value if negative else value
 
 
 def _parse_activity(cur: _Cursor) -> M.Activity:
-    head = cur.expect_keyword("activity")
+    head = cur.expect("activity")
     name = cur.expect_ident("activity name")
     body = _parse_block(cur)
     return M.Activity(name, body, span=head.span(cur.file))
 
 
 def _parse_block(cur: _Cursor) -> tuple[M.Node, ...]:
-    cur.expect("{", "'{'")
     nodes: list[M.Node] = []
-    while not cur.at("}") and not cur.at("eof"):
-        try:
+    cur.expect("{")
+    while cur.more():
+        with cur.statement():
             nodes.append(_parse_node(cur))
-        except _Recover:
-            cur.skip_to_boundary()
-    cur.expect("}", "'}'")
     return tuple(nodes)
 
 
 def _parse_node(cur: _Cursor) -> M.Node:
     tok = cur.peek()
     span = tok.span(cur.file)
-    if cur.at_keyword("task"):
-        cur.advance()
+    if cur.take("task"):
         label = cur.expect_ident("task label")
-        cur.expect(";", "';'")
+        cur.end()
         return M.Task(label, span=span)
-    if cur.at_keyword("send"):
-        cur.advance()
+    if cur.take("send"):
         signal = cur.expect_ident("signal name")
-        cur.expect_keyword("to")
-        if cur.at_keyword("env"):
-            cur.advance()
-            to_env = True
-        else:
-            cur.expect_keyword("self")
-            to_env = False
-        cur.expect(";", "';'")
+        cur.expect("to")
+        to_env = cur.take("env") is not None
+        if not to_env:
+            cur.expect("self")
+        cur.end()
         return M.SendSignal(signal, to_env, span=span)
-    if cur.at_keyword("accept"):
-        cur.advance()
-        signals = [cur.expect_ident("signal name")]
-        while cur.at("|"):
-            cur.advance()
-            signals.append(cur.expect_ident("signal name"))
-        cur.expect(";", "';'")
+    if cur.take("accept"):
+        signals = cur.names("|", "signal name")
+        cur.end()
         return M.AcceptEvent(tuple(signals), span=span)
-    if cur.at_keyword("par"):
-        cur.advance()
+    if cur.take("par"):
         branches = [_parse_block(cur)]
-        while cur.at_keyword("and"):
-            cur.advance()
+        while cur.take("and"):
             branches.append(_parse_block(cur))
-        if cur.at(";"):  # tolerated, not required
-            cur.advance()
+        cur.take(";")  # tolerated, not required
         return M.Par(tuple(branches), span=span)
-    if cur.at_keyword("final"):
-        cur.advance()
-        cur.expect(";", "';'")
+    if cur.take("final"):
+        cur.end()
         return M.FinalNode(span=span)
-    if cur.at("ident") and tok.text not in KEYWORDS:
+    if cur.take("ident"):
         # bare assignment statement:  x := y + 1;
-        target = cur.expect_ident("variable")
-        cur.expect(":=", "':='")
+        cur.expect(":=")
         left = _parse_term(cur)
-        op = None
-        right = None
-        if cur.at("+") or cur.at("-"):
-            op = cur.advance().text
-            right = _parse_term(cur)
-        cur.expect(";", "';'")
-        assignment = M.Assignment(target, left, op, right)
+        op = cur.take("+") or cur.take("-")
+        right = _parse_term(cur) if op else None
+        cur.end()
+        assignment = M.Assignment(tok.text, left, op and op.text, right)
         return M.Task(assignment.text(), assignment=assignment, span=span)
-    cur.error("Expected", f"expected an activity statement, got {tok.text or 'end of file'!r}")
-    raise _Recover()
+    cur.fail("Expected", f"expected an activity statement, got {tok.text or 'end of file'!r}")
 
 
 def _parse_term(cur: _Cursor) -> Union[str, int]:
@@ -500,28 +457,15 @@ def _parse_term(cur: _Cursor) -> Union[str, int]:
 
 def parse_scenario(text: str, machine: M.MachineModel,
                    file: str = "<string>") -> ScenarioResult:
-    errors: list[M.ModelError] = []
-    tokens = _lex(text, file, errors)
-    cur = _Cursor(tokens, file, errors)
-    scenario: Optional[S.Scenario] = None
-    try:
-        scenario = _parse_scenario_body(cur, machine)
-    except _Recover:
-        cur.skip_to_boundary()
-    if errors:
-        return ScenarioResult(None, errors)
-    return ScenarioResult(scenario, [])
+    return ScenarioResult(*_parse(text, file, lambda cur: _parse_scenario_body(cur, machine)))
 
 
 def load_scenario(path: "str | os.PathLike[str]", machine: M.MachineModel) -> S.Scenario:
     """Parse a scenario file against a machine, raising ParseFailure on any
     diagnostic."""
-    with open(path, encoding="utf-8") as fh:
-        result = parse_scenario(fh.read(), machine, str(path))
-    if not result.ok:
-        raise ParseFailure(result.errors)
-    assert result.scenario is not None
-    return result.scenario
+    scenario = _load(path, lambda text, file: parse_scenario(text, machine, file)).scenario
+    assert scenario is not None  # _load returns only a result that is ok
+    return scenario
 
 
 def _state_refs(machine: M.MachineModel) -> set[str]:
@@ -543,84 +487,62 @@ def _state_refs(machine: M.MachineModel) -> set[str]:
 
 
 def _parse_scenario_body(cur: _Cursor, machine: M.MachineModel) -> S.Scenario:
-    head = cur.expect_keyword("scenario")
+    head = cur.expect("scenario")
     name = cur.expect_ident("scenario name")
-    cur.expect("{", "'{'")
     steps: list[S.Step] = []
     expectations: list[S.Expectation] = []
     signals = set(machine.signals)
     states = _state_refs(machine)
-    while not cur.at("}") and not cur.at("eof"):
-        try:
+    cur.expect("{")
+    while cur.more():
+        with cur.statement():
             tok = cur.peek()
             span = tok.span(cur.file)
-            if cur.at_keyword("inject"):
-                cur.advance()
+            if cur.take("inject"):
                 sig = cur.expect_ident("signal name")
-                if sig not in signals:
-                    cur.error("UnknownReference", f"injected signal {sig!r} is not declared by machine {machine.name!r}", tok)
-                cur.expect(";", "';'")
+                if sig not in signals:  # reported, and the statement still counts
+                    cur.errors.append(M.ModelError(
+                        "UnknownReference", f"injected signal {sig!r} is not declared by machine {machine.name!r}", span))
+                cur.end()
                 steps.append(S.Inject(sig, span=span))
-            elif cur.at_keyword("await"):
-                cur.advance()
-                cur.expect("-", "'-'")
-                cur.expect_keyword("stable")
-                cur.expect(";", "';'")
+            elif cur.take("await"):
+                cur.expect("-")
+                cur.expect("stable")
+                cur.end()
                 steps.append(S.AwaitStable(span=span))
-            elif cur.at_keyword("expect"):
-                cur.advance()
+            elif cur.take("expect"):
                 expectations.append(_parse_expectation(cur, signals, states, span))
             else:
-                cur.error("Expected", f"expected inject/await-stable/expect, got {tok.text!r}")
-                raise _Recover()
-        except _Recover:
-            cur.skip_to_boundary()
-    cur.expect("}", "'}'")
+                cur.fail("Expected", f"expected inject/await-stable/expect, got {tok.text!r}")
     return S.Scenario(name, tuple(steps), tuple(expectations), span=head.span(cur.file))
 
 
 def _parse_expectation(cur: _Cursor, signals: set[str], states: set[str],
                        span: M.SourceSpan) -> S.Expectation:
-    if cur.at_keyword("eventually"):
-        cur.advance()
-        cur.expect("-", "'-'")
-        cur.expect_keyword("active")
-        parts = [cur.expect_ident("state name")]
-        while cur.at("."):
-            cur.advance()
-            parts.append(cur.expect_ident("state name"))
-        cur.expect(";", "';'")
-        ref = ".".join(parts)
+    if cur.take("eventually"):
+        cur.expect("-")
+        cur.expect("active")
+        ref = ".".join(cur.names(".", "state name"))
+        cur.end()
         if ref not in states:
-            cur.error("UnknownReference", f"state {ref!r} not found in the machine")
-            raise _Recover()
+            cur.fail("UnknownReference", f"state {ref!r} not found in the machine")
         return S.EventuallyActive(ref, span=span)
-    if cur.at_keyword("emits"):
-        cur.advance()
-        seq: list[str] = []
-        if not cur.at(";"):
-            seq.append(cur.expect_ident("signal name"))
-            while cur.at(","):
-                cur.advance()
-                seq.append(cur.expect_ident("signal name"))
-        cur.expect(";", "';'")
+    if cur.take("emits"):
+        seq = [] if cur.at(";") else cur.names(",", "signal name")
+        cur.end()
         for sig in seq:
             if sig not in signals:
-                cur.error("UnknownReference", f"expected signal {sig!r} is not declared")
-                raise _Recover()
+                cur.fail("UnknownReference", f"expected signal {sig!r} is not declared")
         return S.Emits(tuple(seq), span=span)
-    if cur.at_keyword("never"):
-        cur.advance()
-        cur.expect("-", "'-'")
-        cur.expect_keyword("discards")
+    if cur.take("never"):
+        cur.expect("-")
+        cur.expect("discards")
         sig = cur.expect_ident("signal name")
-        cur.expect(";", "';'")
+        cur.end()
         if sig not in signals:
-            cur.error("UnknownReference", f"signal {sig!r} is not declared")
-            raise _Recover()
+            cur.fail("UnknownReference", f"signal {sig!r} is not declared")
         return S.NeverDiscards(sig, span=span)
-    cur.error("Expected", f"expected an expectation kind, got {cur.peek().text!r}")
-    raise _Recover()
+    cur.fail("Expected", f"expected an expectation kind, got {cur.peek().text!r}")
 
 
 # --- pretty printer ------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import statebench
 from conftest import fixture_path
+from statebench import lint, parse_model, parse_scenario, run
 from statebench.cli import BUDGET, DEADLOCK, FAIL, OK, PARSE, main
 
 
@@ -375,20 +376,44 @@ def test_unreadable_integer_literal_is_a_parse_error(tmp_path, capsys, literal):
     assert len(err.splitlines()) == 1 and "BadInteger" in err
 
 
+def nested_model(depth):
+    """A machine whose regions and states nest `depth` levels deep."""
+    return ("machine Deep { signals e; "
+            + "".join(f"region r{i} {{ initial -> S{i}; state S{i} {{ " for i in range(depth))
+            + "} } " * depth + "}\n")
+
+
 @pytest.mark.parametrize("command", ["lint", "run"])
 def test_deeply_nested_model_exits_budget(tmp_path, capsys, command):
     # the parser recurses once per level; 1,000 levels exceed the stack
-    depth = 1000
     model = tmp_path / "deep.psm"
-    model.write_text("machine Deep { signals e; "
-                     + "".join(f"region r{i} {{ initial -> S{i}; state S{i} {{ " for i in range(depth))
-                     + "} } " * depth + "}\n")
+    model.write_text(nested_model(1000))
     scn = tmp_path / "s.scn"
     scn.write_text("scenario s { }\n")
     argv = (command, str(model)) + ((str(scn),) if command == "run" else ())
     code, _, err = invoke(capsys, *argv)
     assert code == BUDGET
     assert len(err.splitlines()) == 1
+
+
+def test_model_nested_400_levels_parses_lints_and_runs():
+    # the parser and validator recurse a few frames per level, so each frame
+    # added per level lowers the depth a model may reach
+    m = parse_model(nested_model(400)).model
+    assert m is not None
+    assert lint(m) == []
+    result = run(m, parse_scenario("scenario s { }", m).scenario)
+    assert result.trace.records
+
+
+@pytest.mark.parametrize("command", ["lint", "run"])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    argv = (command, str(bad)) if command == "lint" else (command, fx("measurement.psm"), str(bad))
+    code, _, err = invoke(capsys, *argv)
+    assert code == PARSE
+    assert len(err.splitlines()) == 1 and str(bad) in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -13,7 +13,16 @@ partitions (class count, trace count and a digest each), every verdict with
 its witness and counterexample, and a digest of the materialized traces. It
 also pins the DAG's node and edge counts: a memo key that split equal states
 would leave every count the same and only grow the DAG.
-`python tests/test_golden.py` rewrites the file from the code at hand.
+
+`diagnostics.json` pins every diagnostic the parser gives on broken inputs.
+For each fixture machine, and each fixture scenario parsed against its
+machine, the variants are the file with one token deleted, or with one token
+replaced by each of `REPLACEMENTS`: a letter and digits that are not ASCII,
+a character outside the grammar, an integer too long for `int()` and a
+comment. The file holds, per fixture file, the variant count, the count with
+errors and a digest of every diagnostic's text and span length.
+
+`python tests/test_golden.py` rewrites both files from the code at hand.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -28,11 +38,12 @@ from conftest import FIXTURE_PAIRS, FIXTURES
 from statebench.cli import expectation_text
 from statebench.engine.driver import FirstStrategy, RandomStrategy, ScriptStrategy, run
 from statebench.explorer import ExploreBounds, explore
-from statebench.parser import load_model, load_scenario
+from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
 from statebench.trace import from_json
 
 GOLDEN = sorted((FIXTURES / "golden").glob("*.json"))
 EXPLORATIONS = FIXTURES / "explorations.json"
+DIAGNOSTICS = FIXTURES / "diagnostics.json"
 BOUNDS = {
     "default": ExploreBounds(),
     "max_micro_steps=10": ExploreBounds(max_micro_steps=10),
@@ -118,6 +129,36 @@ def test_exploration_matches_golden(model_name, scn_name):
     assert explorations(model_name, scn_name) == golden[f"{model_name}.{scn_name}"]
 
 
+REPLACEMENTS = ("\u00bd", "\u00b2", "\u0661\u0662", "\u00e9", "@", "9" * 5000, "// c")
+TOKEN = re.compile(r"//[^\n]*|\s+|(->|:=|==|!=|\w+|.)")
+MACHINE_OF = {f"{scn_name}.scn": f"{model_name}.psm" for model_name, scn_name in FIXTURE_PAIRS}
+DIAGNOSED = sorted(p.name for p in FIXTURES.glob("*.psm")) + sorted(MACHINE_OF)
+
+
+def diagnostics(name) -> list:
+    """[variants, variants with errors, digest of their diagnostics] for one
+    fixture file."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    if name in MACHINE_OF:
+        m = load_model(str(FIXTURES / MACHINE_OF[name]))
+        errors = lambda variant: parse_scenario(variant, m, name).errors
+    else:
+        errors = lambda variant: parse_model(variant, name).errors
+    spans = [t.span(1) for t in TOKEN.finditer(text) if t.group(1)]
+    found = [[[str(e), e.span.length] for e in errors(text[:a] + new + text[b:])]
+             for a, b in spans for new in ("",) + REPLACEMENTS]
+    digest = hashlib.sha256(json.dumps(found).encode()).hexdigest()
+    return [len(found), sum(1 for f in found if f), digest]
+
+
+@pytest.mark.parametrize("name", DIAGNOSED)
+def test_diagnostics_match_golden(name):
+    golden = json.loads(DIAGNOSTICS.read_text(encoding="utf-8"))
+    assert diagnostics(name) == golden[name]
+
+
 if __name__ == "__main__":
     found = {f"{model_name}.{scn_name}": explorations(model_name, scn_name) for model_name, scn_name in FIXTURE_PAIRS}
     EXPLORATIONS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    found = {name: diagnostics(name) for name in DIAGNOSED}
+    DIAGNOSTICS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")

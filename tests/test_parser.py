@@ -124,11 +124,27 @@ def test_syntax_error_has_span():
     assert err.span is not None and err.span.line == 3
 
 
+def test_end_of_file_after_a_trailing_comment_points_past_it():
+    text = "machine M { signals e; region main { initial -> S; state S { } } // no closing brace"
+    res = parse_model(text)
+    assert [str(e) for e in res.errors] == [
+        f"Expected: expected '}}', got 'end of file' at <string>:1:{len(text) + 1}"]
+
+
 def test_load_model_raises_on_bad_file(tmp_path):
     bad = tmp_path / "bad.psm"
     bad.write_text("machine Broken {")
     with pytest.raises(ParseFailure):
         load_model(str(bad))
+
+
+def test_load_model_points_at_the_first_byte_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.psm"
+    bad.write_bytes(b"machine M {\r\n  signals \xc3\xa9 \xff;\n}\n")
+    with pytest.raises(ParseFailure) as exc:
+        load_model(bad)
+    assert [str(e) for e in exc.value.errors] == [
+        f"BadEncoding: file is not UTF-8 text: invalid start byte at {bad}:2:13"]
 
 
 def test_scenario_parses(measurement):
