@@ -16,7 +16,7 @@ pools, not about background work being done.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
 from .. import model as M
@@ -24,7 +24,7 @@ from .. import scenario as S
 from ..trace import Record, Trace
 from . import kernel as K
 from .kernel import ModelIndex
-from .state import Path, RuntimeState, dotted
+from .state import RuntimeState, dotted
 from .steps import MicroStep
 
 
@@ -132,7 +132,10 @@ class RunResult:
     stable_points: tuple[StablePoint, ...] = ()
     ever_active: frozenset[str] = frozenset()
     scenario_done: bool = True
-    deadlocked: bool = False
+
+    @property
+    def deadlocked(self) -> bool:
+        return not self.scenario_done
 
     @property
     def observables(self) -> tuple[str, ...]:
@@ -190,7 +193,6 @@ def run(
         st, rec = K.apply(ctx, st, step)
         records.append(rec)
 
-    scenario_done = scenario is None or idx >= len(scenario.steps)
     trace = Trace(
         records=tuple(records),
         model=ctx.model.name,
@@ -203,25 +205,11 @@ def run(
         state=st,
         stable_points=tuple(stable_points),
         ever_active=frozenset(ever_active),
-        scenario_done=scenario_done,
-        deadlocked=not scenario_done,
+        scenario_done=scenario is None or idx >= len(scenario.steps),
     )
 
 
 # --- expectation checks on a single run ------------------------------------
-
-
-def resolve_state(ctx: ModelIndex, text: str) -> Path:
-    """The vertex that `text` names: a full dotted path, or a bare name."""
-    if "." in text:
-        path = tuple(text.split("."))
-        if path not in ctx.vertex:
-            raise KeyError(text)
-        return path
-    for path in ctx.vertex:
-        if path[-1] == text:
-            return path
-    raise KeyError(text)
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,7 @@ def evaluate_run(ctx: ModelIndex, scenario: S.Scenario, result: RunResult) -> li
     out = []
     for exp in scenario.expectations:
         if isinstance(exp, S.EventuallyActive):
-            path = resolve_state(ctx, exp.state)
+            path = ctx.model.state_refs[exp.state]
             ok = dotted(path) in result.ever_active
             detail = f"{dotted(path)} {'was' if ok else 'never'} active"
         elif isinstance(exp, S.Emits):

@@ -26,6 +26,15 @@ from the dispatcher committing an occurrence to the state machine until the
 last leg it spawned finishes; doActivity threads run concurrently and their
 steps interleave freely with leg steps.
 
+A leg is a precompiled tuple of `LegStep`s, each of the `StepKind` of the
+micro-step that takes it: AbortDoActivity, RunExitAction, ExitState and
+ReleaseDeferred for each state it leaves, innermost first, RunEffectAction,
+then EnterState, RunEntryAction and StartDoActivity for each state it
+enters. A behavior run (exit, effect or entry) is a leg step with an
+activity and takes one micro-step per node; `build_index` lists, in
+`ModelIndex.runs`, the activities whose body is not empty, and a behavior
+with an empty body is no leg step at all.
+
 Step order: `enabled_steps` lists doActivity threads first, then legs, each
 by thread id as a number, then "net", then "sm"; within a thread, steps
 sort by `MicroStep.key()`. The thread label alone fixes a step's place
@@ -97,36 +106,23 @@ class ModelIndex:
 
     model: M.MachineModel
     programs: dict[str, Program] = field(default_factory=dict)
+    runs: dict[str, int] = field(default_factory=dict)   # activity -> entry node, bodies not empty
     vertex: dict[Path, M.Vertex] = field(default_factory=dict)
     state_regions: dict[Path, tuple[Path, ...]] = field(default_factory=dict)
     initial: dict[Path, M.Transition] = field(default_factory=dict)
+    # (source path, transition); the region is `src[:-1]`, the target `src[:-1] + (t.target,)`
     transitions: dict[TransitionId, tuple[Path, M.Transition]] = field(default_factory=dict)
     by_trigger: dict[str, tuple[TransitionId, ...]] = field(default_factory=dict)
     completion_of: dict[Path, TransitionId] = field(default_factory=dict)
     defer_of: dict[Path, frozenset[str]] = field(default_factory=dict)
     root_regions: tuple[Path, ...] = ()
 
-    def prog_entry(self, name: Optional[str]) -> Optional[int]:
-        if name is None:
-            return None
-        return self.programs[name].entry
-
-    def source_path(self, tid: TransitionId) -> Path:
-        region, t = self.transitions[tid]
-        return region + (t.source,)
-
-    def target_path(self, tid: TransitionId) -> Path:
-        region, t = self.transitions[tid]
-        return region + (t.target,)
-
-    def transition(self, tid: TransitionId) -> M.Transition:
-        return self.transitions[tid][1]
-
 
 def build_index(model: M.MachineModel) -> ModelIndex:
     ctx = ModelIndex(model)
     # the first of duplicate definitions, as `validate` and `lint` read it
     ctx.programs = {a.name: compile_activity(model.activity(a.name)) for a in model.activities}
+    ctx.runs = {name: p.entry for name, p in ctx.programs.items() if p.entry is not None}
 
     def walk_region(region: M.Region, prefix: Path) -> None:
         rpath = prefix + (region.name,)
@@ -134,10 +130,10 @@ def build_index(model: M.MachineModel) -> ModelIndex:
             if t.is_initial:
                 ctx.initial[rpath] = t
                 continue
-            tid = (dotted(rpath), t.name)
-            ctx.transitions[tid] = (rpath, t)
+            tid, src = (dotted(rpath), t.name), rpath + (t.source,)
+            ctx.transitions[tid] = (src, t)
             if t.kind is M.TransitionKind.COMPLETION:
-                ctx.completion_of[rpath + (t.source,)] = tid
+                ctx.completion_of[src] = tid
             elif t.trigger:
                 ctx.by_trigger.setdefault(t.trigger, ())
                 ctx.by_trigger[t.trigger] += (tid,)
@@ -196,17 +192,7 @@ def _eval_term(term: Union[str, int], vars_: dict[str, int]) -> int:
 
 
 def _eval_guard(guard: Optional[M.Guard], st: RuntimeState) -> bool:
-    if guard is None:
-        return True
-    vars_ = dict(st.vars)
-    left = vars_[guard.var]
-    if guard.op == "==":
-        return left == guard.literal
-    if guard.op == "!=":
-        return left != guard.literal
-    if guard.op == "<":
-        return left < guard.literal
-    return left > guard.literal
+    return guard is None or M.GUARD_OPS[guard.op](dict(st.vars)[guard.var], guard.literal)
 
 
 def _do_thread_for(st: RuntimeState, path: Path) -> Optional[DoThread]:
@@ -241,23 +227,19 @@ def _exit_cascade(ctx: ModelIndex, st: RuntimeState, path: Path) -> list[LegStep
     v = ctx.vertex[path]
     steps: list[LegStep] = []
     if isinstance(v, M.FinalState):
-        return [LegStep("exit", path)]
+        return [LegStep(StepKind.EXIT_STATE, path)]
     for rpath in ctx.state_regions.get(path, ()):
         child = _active_child(st, rpath)
         if child is not None:
             steps.extend(_exit_cascade(ctx, st, child))
     if v.do_activity:
-        steps.append(LegStep("abort", path))
-    if v.exit and ctx.prog_entry(v.exit) is not None:
-        steps.append(LegStep("exit_behavior", path, activity=v.exit))
-    steps.append(LegStep("exit", path))
+        steps.append(LegStep(StepKind.ABORT_DO, path))
+    if v.exit in ctx.runs:
+        steps.append(LegStep(StepKind.RUN_EXIT_ACTION, path, activity=v.exit))
+    steps.append(LegStep(StepKind.EXIT_STATE, path))
     if v.defer:
-        steps.append(LegStep("release", path))
+        steps.append(LegStep(StepKind.RELEASE_DEFERRED, path))
     return steps
-
-
-def _entry_program(ctx: ModelIndex, v: M.State) -> Optional[str]:
-    return v.entry if (v.entry and ctx.prog_entry(v.entry) is not None) else None
 
 
 def _entry_sequence(ctx: ModelIndex, path: Path) -> list[LegStep]:
@@ -266,50 +248,36 @@ def _entry_sequence(ctx: ModelIndex, path: Path) -> list[LegStep]:
     behavior (or the bare entry) is done."""
     v = ctx.vertex[path]
     if isinstance(v, M.FinalState):
-        return [LegStep("enter", path)]
+        return [LegStep(StepKind.ENTER_STATE, path)]
     has_regions = bool(ctx.state_regions.get(path))
-    entry_prog = _entry_program(ctx, v)
-    steps = [LegStep("enter", path, spawn=has_regions and entry_prog is None)]
-    if entry_prog:
-        steps.append(LegStep("entry_behavior", path, activity=entry_prog, spawn=has_regions))
+    runs_entry = v.entry in ctx.runs
+    steps = [LegStep(StepKind.ENTER_STATE, path, spawn=has_regions and not runs_entry)]
+    if runs_entry:
+        steps.append(LegStep(StepKind.RUN_ENTRY_ACTION, path, activity=v.entry, spawn=has_regions))
     if v.do_activity:
-        steps.append(LegStep("start_do", path))
+        steps.append(LegStep(StepKind.START_DO, path))
     return steps
 
 
-def _leg_for_transition(ctx: ModelIndex, st: RuntimeState, tid: TransitionId, thread_id: int) -> LegThread:
-    region, t = ctx.transitions[tid]
-    steps: list[LegStep] = []
-    if t.kind is not M.TransitionKind.INTERNAL:
-        steps.extend(_exit_cascade(ctx, st, ctx.source_path(tid)))
-    if t.effect and ctx.prog_entry(t.effect) is not None:
-        steps.append(LegStep("effect", region, activity=t.effect, transition=t.name))
-    if t.kind is not M.TransitionKind.INTERNAL:
-        steps.extend(_entry_sequence(ctx, ctx.target_path(tid)))
+def _leg(ctx: ModelIndex, st: RuntimeState, thread_id: int, region: Path, t: M.Transition) -> LegThread:
+    """The leg of transition `t` of `region`: exit its source unless `t` is
+    initial or internal, run its effect, enter its target unless `t` is
+    internal."""
+    crosses = t.kind is not M.TransitionKind.INTERNAL
+    steps = _exit_cascade(ctx, st, region + (t.source,)) if crosses and not t.is_initial else []
+    if t.effect in ctx.runs:
+        name = f"initial@{dotted(region)}" if t.is_initial else t.name
+        steps.append(LegStep(StepKind.RUN_EFFECT_ACTION, region, activity=t.effect, transition=name))
+    if crosses:
+        steps.extend(_entry_sequence(ctx, region + (t.target,)))
     return _leg_prepare(ctx, LegThread(thread_id, tuple(steps)))
-
-
-def _leg_for_region(ctx: ModelIndex, region_path: Path, thread_id: int) -> LegThread:
-    t = ctx.initial[region_path]
-    steps: list[LegStep] = []
-    if t.effect and ctx.prog_entry(t.effect) is not None:
-        steps.append(LegStep("effect", region_path, activity=t.effect, transition=f"initial@{dotted(region_path)}"))
-    steps.extend(_entry_sequence(ctx, region_path + (t.target,)))
-    return _leg_prepare(ctx, LegThread(thread_id, tuple(steps)))
-
-
-_PHASES = {"effect", "exit_behavior", "entry_behavior"}
 
 
 def _leg_prepare(ctx: ModelIndex, leg: LegThread) -> LegThread:
     """Arms the strand cursor when the current leg step is a behavior run."""
-    if leg.done or leg.exec is not None:
+    if leg.done or leg.exec is not None or not leg.current().activity:
         return leg
-    step = leg.current()
-    if step.kind in _PHASES:
-        entry = ctx.prog_entry(step.activity)
-        return _evolve(leg, exec=ActivityExec((entry,)))
-    return leg
+    return _evolve(leg, exec=ActivityExec((ctx.runs[leg.current().activity],)))
 
 
 # --- strand machinery ---------------------------------------------------
@@ -377,8 +345,7 @@ def _exec_node(
 
 def _covers(ctx: ModelIndex, tid: TransitionId, path: Path) -> bool:
     """Would firing `tid` force `path` out of the configuration?"""
-    t = ctx.transition(tid)
-    src = ctx.source_path(tid)
+    src, t = ctx.transitions[tid]
     if t.kind is M.TransitionKind.INTERNAL:
         return path == src
     return path == src or _descends(path, src)
@@ -387,7 +354,8 @@ def _covers(ctx: ModelIndex, tid: TransitionId, path: Path) -> bool:
 def _enabled_transitions(ctx: ModelIndex, st: RuntimeState, signal: str) -> list[TransitionId]:
     out = []
     for tid in ctx.by_trigger.get(signal, ()):
-        if st.is_active(ctx.source_path(tid)) and _eval_guard(ctx.transition(tid).guard, st):
+        src, t = ctx.transitions[tid]
+        if st.is_active(src) and _eval_guard(t.guard, st):
             out.append(tid)
     return out
 
@@ -397,12 +365,12 @@ def _fired_set(ctx: ModelIndex, enabled: list[TransitionId]) -> tuple[Transition
     wins; the survivors are pairwise conflict-free and fire together."""
     fired = []
     for tid in enabled:
-        src = ctx.source_path(tid)
+        src = ctx.transitions[tid][0]
         beaten = False
         for other in enabled:
             if other == tid:
                 continue
-            osrc = ctx.source_path(other)
+            osrc = ctx.transitions[other][0]
             if (_covers(ctx, tid, osrc) or _covers(ctx, other, src)) and len(osrc) > len(src):
                 beaten = True
                 break
@@ -427,7 +395,7 @@ def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tupl
     if isinstance(occ, CompletionOccurrence):
         if st.status(occ.state) == "completed":
             tid = ctx.completion_of.get(occ.state)
-            if tid is not None and _eval_guard(ctx.transition(tid).guard, st):
+            if tid is not None and _eval_guard(ctx.transitions[tid][1].guard, st):
                 return (("sm", (tid,)),)
         return (("discard",),)
 
@@ -445,7 +413,7 @@ def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tupl
     ]
 
     deferring = [p for p, _ in st.active if signal in ctx.defer_of.get(p, ())]
-    source_paths = [ctx.source_path(t) for t in enabled]
+    source_paths = [ctx.transitions[t][0] for t in enabled]
 
     def overridden(p: Path) -> bool:
         return any(sp == p or _descends(sp, p) for sp in source_paths)
@@ -534,29 +502,16 @@ def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep
     return steps
 
 
-_LEG_KIND = {
-    "abort": StepKind.ABORT_DO,
-    "exit": StepKind.EXIT_STATE,
-    "release": StepKind.RELEASE_DEFERRED,
-    "enter": StepKind.ENTER_STATE,
-    "start_do": StepKind.START_DO,
-    "effect": StepKind.RUN_EFFECT_ACTION,
-    "exit_behavior": StepKind.RUN_EXIT_ACTION,
-    "entry_behavior": StepKind.RUN_ENTRY_ACTION,
-}
-
-
 def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroStep]:
     label = leg.label()
     step = leg.current()
-    kind = _LEG_KIND[step.kind]
-    if step.kind not in _PHASES:
-        return [_step(st, (leg, None), kind, label, ("state", dotted(step.path)))]
+    if not step.activity:
+        return [_step(st, (leg, None), step.kind, label, ("state", dotted(step.path)))]
     assert leg.exec is not None
     prog = ctx.programs[step.activity]
     where = ("transition", step.transition) if step.transition else ("state", dotted(step.path))
     about = (("activity", step.activity), where)
-    return [_step(st, (leg, n), kind, label, ("node", n), ("do", describe(prog.nodes[n])), *about) for n in leg.exec.strands]
+    return [_step(st, (leg, n), step.kind, label, ("node", n), ("do", describe(prog.nodes[n])), *about) for n in leg.exec.strands]
 
 
 _OPTION_KIND = {
@@ -618,7 +573,7 @@ class KernelError(Exception):
 
 def _spawn_regions(ctx: ModelIndex, st: RuntimeState, path: Path) -> RuntimeState:
     for rpath in ctx.state_regions.get(path, ()):
-        leg = _leg_for_region(ctx, rpath, st.next_tid)
+        leg = _leg(ctx, st, st.next_tid, rpath, ctx.initial[rpath])
         st = _evolve(st.with_thread(leg), next_tid=st.next_tid + 1)
     return st
 
@@ -627,7 +582,7 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
     """Move past the just-completed current step; spawn child regions where
     the completed step asks for it; drop the leg when finished."""
     completed = leg.current()
-    if completed.kind == "entry_behavior":
+    if completed.kind is StepKind.RUN_ENTRY_ACTION:
         st = st.with_status(completed.path, "entry_done")
     leg = _evolve(leg, idx=leg.idx + 1, exec=None)
     if leg.done:
@@ -674,7 +629,8 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         elif arg[0] == "sm":
             st = _evolve(st, rtc_index=st.rtc_index + 1)
             for tid in arg[1]:
-                leg = _leg_for_transition(ctx, st, tid, st.next_tid)
+                src, t = ctx.transitions[tid]
+                leg = _leg(ctx, st, st.next_tid, src[:-1], t)
                 st = _evolve(st.with_thread(leg), next_tid=st.next_tid + 1)
                 # a transition leg can be empty (internal, no effect): it
                 # still counts as the event's run-to-completion step
@@ -686,8 +642,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
         # "discard": the occurrence is dropped
 
     elif step.kind is StepKind.INIT_DO:
-        entry = ctx.prog_entry(arg.activity)
-        strands = (entry,) if entry is not None else ()
+        strands = (ctx.runs[arg.activity],) if arg.activity in ctx.runs else ()
         st = st.with_thread(_evolve(arg, invocation=None, exec=ActivityExec(strands)))
 
     elif step.kind is StepKind.RUN_ACTION:
@@ -732,7 +687,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             prog = ctx.programs[cur.activity]
             # effect phases carry the region path directly; entry and exit
             # behaviors carry the vertex path, whose parent is the region
-            region = cur.path if cur.kind == "effect" else cur.path[:-1]
+            region = cur.path if cur.kind is StepKind.RUN_EFFECT_ACTION else cur.path[:-1]
             st, obs = _exec_node(ctx, st, prog, nid, region)
             ex = _advance_exec(prog, leg.exec, nid)
             if ex.strands:
@@ -770,7 +725,7 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             if isinstance(v, M.FinalState):
                 status = "final"
             else:
-                status = "entering" if _entry_program(ctx, v) else "entry_done"
+                status = "entering" if v.entry in ctx.runs else "entry_done"
             st = _advance_leg(ctx, st.with_status(cur.path, status), leg)
 
         else:  # StartDoActivity
@@ -816,7 +771,7 @@ def boot(ctx: ModelIndex) -> RuntimeState:
         rtc_index=1,
     )
     for i, rpath in enumerate(ctx.root_regions):
-        st = st.with_thread(_leg_for_region(ctx, rpath, i))
+        st = st.with_thread(_leg(ctx, st, i, rpath, ctx.initial[rpath]))
     return _evolve(st, next_tid=len(ctx.root_regions))
 
 

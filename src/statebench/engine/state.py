@@ -28,6 +28,7 @@ from operator import attrgetter
 from typing import Optional, Union
 
 from .occurrences import CompletionOccurrence, InvocationOccurrence, Occurrence, SignalOccurrence
+from .steps import StepKind
 
 Path = tuple[str, ...]
 
@@ -58,13 +59,16 @@ def _evolve(value, **changes):
 
 @dataclass(frozen=True)
 class LegStep:
-    """One precompiled step of a compound transition leg."""
+    """One precompiled step of a compound transition leg, of the kind of the
+    micro-step that takes it. A behavior run (an exit, effect or entry
+    behavior whose body is not empty) is a leg step with an `activity`; it
+    takes one micro-step per node. An effect's path is its region's, any
+    other leg step's path is its vertex's."""
 
-    kind: str                      # abort | exit_behavior | exit | release |
-                                   # effect | enter | entry_behavior | start_do
+    kind: StepKind
     path: Path = ()
     activity: str = ""
-    transition: str = ""
+    transition: str = ""           # an effect's transition name
     spawn: bool = False            # spawn child region legs once this step is done
 
 

@@ -90,7 +90,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, U
 from . import model as M
 from . import scenario as S
 from .engine import kernel as K
-from .engine.driver import advance_scenario, resolve_state
+from .engine.driver import advance_scenario
 from .engine.kernel import ModelIndex
 from .engine.state import RuntimeState, dotted
 from .trace import Record, Trace
@@ -406,7 +406,7 @@ class TraceSet:
                 return _obs_monitor(next(seq for seq in hit if hit[seq] == ok))
 
         elif isinstance(exp, S.EventuallyActive):
-            target = dotted(resolve_state(self.ctx, exp.state))
+            target = dotted(self.ctx.model.state_refs[exp.state])
 
             def monitor(ok: bool) -> Monitor:  # at the root nothing is active yet
                 return _flag_monitor(lambda e: _enters(e, target), ok)

@@ -12,6 +12,7 @@ so parse -> pretty-print -> parse round-trips compare structurally.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -31,7 +32,8 @@ class SourceSpan:
 
 # --- activity nodes ---------------------------------------------------------
 
-GUARD_OPS = ("==", "!=", "<", ">")
+# the guard comparisons: the parser reads the operators, the kernel applies them
+GUARD_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,26 @@ class MachineModel:
     def activity(self, name: str) -> Activity:
         return self._activity_by_name[name]
 
+    @cached_property
+    def state_refs(self) -> dict[str, tuple[str, ...]]:
+        """How a scenario names a state or final state: by its bare name or
+        by its full dotted vertex path from a root region, mapped to that
+        path. Built in preorder with a stack, so a bare name used twice (which
+        `validate` rejects) means the first."""
+        def inside(prefix: tuple[str, ...], regions: tuple[Region, ...]) -> list:
+            return [(prefix + (r.name, v.name), v) for r in reversed(regions) for v in reversed(r.vertices)
+                    if not isinstance(v, InitialPseudostate)]
+
+        refs: dict[str, tuple[str, ...]] = {}
+        todo = inside((), self.regions)
+        while todo:
+            path, v = todo.pop()
+            refs.setdefault(v.name, path)
+            refs[".".join(path)] = path
+            if isinstance(v, State):
+                todo += inside(path, v.regions)
+        return refs
+
 
 # --- validation --------------------------------------------------------------
 
@@ -334,6 +356,8 @@ def _check_region(region: Region, model: MachineModel, signals: set[str],
             errors.append(ModelError("UnknownReference", f"transition {t.name!r} trigger {t.trigger!r} is not a declared signal", t.span))
         if t.guard is not None and t.guard.var not in model.variables:
             errors.append(ModelError("UnknownVariable", f"guard variable {t.guard.var!r} on transition {t.name!r}", t.span))
+        if t.guard is not None and t.guard.op not in GUARD_OPS:
+            errors.append(ModelError("BadGuard", f"guard operator {t.guard.op!r} on transition {t.name!r}", t.span))
         _check_behavior_ref(t.effect, "effect", t.name, model, activity_names, errors, t.span, allow_accept=False)
         if not t.is_initial:
             key = (t.source, t.trigger)

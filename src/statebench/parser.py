@@ -184,6 +184,12 @@ class _Cursor:
             found.append(self.expect_ident(what))
         return found
 
+    def refer(self, known: bool, message: str, span: M.SourceSpan) -> None:
+        """An UnknownReference diagnostic at `span` unless `known`; unlike
+        `fail`, it keeps the statement."""
+        if not known:
+            self.errors.append(M.ModelError("UnknownReference", message, span))
+
     def end(self) -> None:
         self.expect(";")
 
@@ -468,31 +474,13 @@ def load_scenario(path: "str | os.PathLike[str]", machine: M.MachineModel) -> S.
     return scenario
 
 
-def _state_refs(machine: M.MachineModel) -> set[str]:
-    """The ways a scenario may name a state: its bare name, or its full
-    dotted vertex path from a root region."""
-    refs: set[str] = set()
-
-    def walk(region: M.Region, path: str) -> None:
-        for v in region.vertices:
-            if isinstance(v, (M.State, M.FinalState)):
-                refs.update((v.name, f"{path}.{v.name}"))
-            if isinstance(v, M.State):
-                for sub in v.regions:
-                    walk(sub, f"{path}.{v.name}.{sub.name}")
-
-    for region in machine.regions:
-        walk(region, region.name)
-    return refs
-
-
 def _parse_scenario_body(cur: _Cursor, machine: M.MachineModel) -> S.Scenario:
     head = cur.expect("scenario")
     name = cur.expect_ident("scenario name")
     steps: list[S.Step] = []
     expectations: list[S.Expectation] = []
     signals = set(machine.signals)
-    states = _state_refs(machine)
+    states = machine.state_refs
     cur.expect("{")
     while cur.more():
         with cur.statement():
@@ -500,9 +488,7 @@ def _parse_scenario_body(cur: _Cursor, machine: M.MachineModel) -> S.Scenario:
             span = tok.span(cur.file)
             if cur.take("inject"):
                 sig = cur.expect_ident("signal name")
-                if sig not in signals:  # reported, and the statement still counts
-                    cur.errors.append(M.ModelError(
-                        "UnknownReference", f"injected signal {sig!r} is not declared by machine {machine.name!r}", span))
+                cur.refer(sig in signals, f"injected signal {sig!r} is not declared by machine {machine.name!r}", span)
                 cur.end()
                 steps.append(S.Inject(sig, span=span))
             elif cur.take("await"):
@@ -517,30 +503,27 @@ def _parse_scenario_body(cur: _Cursor, machine: M.MachineModel) -> S.Scenario:
     return S.Scenario(name, tuple(steps), tuple(expectations), span=head.span(cur.file))
 
 
-def _parse_expectation(cur: _Cursor, signals: set[str], states: set[str],
+def _parse_expectation(cur: _Cursor, signals: set[str], states: dict[str, tuple[str, ...]],
                        span: M.SourceSpan) -> S.Expectation:
     if cur.take("eventually"):
         cur.expect("-")
         cur.expect("active")
         ref = ".".join(cur.names(".", "state name"))
+        cur.refer(ref in states, f"state {ref!r} not found in the machine", span)
         cur.end()
-        if ref not in states:
-            cur.fail("UnknownReference", f"state {ref!r} not found in the machine")
         return S.EventuallyActive(ref, span=span)
     if cur.take("emits"):
         seq = [] if cur.at(";") else cur.names(",", "signal name")
-        cur.end()
         for sig in seq:
-            if sig not in signals:
-                cur.fail("UnknownReference", f"expected signal {sig!r} is not declared")
+            cur.refer(sig in signals, f"expected signal {sig!r} is not declared", span)
+        cur.end()
         return S.Emits(tuple(seq), span=span)
     if cur.take("never"):
         cur.expect("-")
         cur.expect("discards")
         sig = cur.expect_ident("signal name")
+        cur.refer(sig in signals, f"signal {sig!r} is not declared", span)
         cur.end()
-        if sig not in signals:
-            cur.fail("UnknownReference", f"signal {sig!r} is not declared")
         return S.NeverDiscards(sig, span=span)
     cur.fail("Expected", f"expected an expectation kind, got {cur.peek().text!r}")
 

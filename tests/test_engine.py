@@ -18,7 +18,6 @@ from statebench.engine.driver import (
     ScriptDiverged,
     ScriptStrategy,
     evaluate_run,
-    resolve_state,
     run,
 )
 from statebench.engine.kernel import KernelError, apply, boot, build_index, enabled_steps
@@ -386,14 +385,17 @@ def test_duplicate_activity_runs_its_first_definition():
 # --- scenario evaluation ----------------------------------------------------------
 
 
-def test_resolve_state_by_bare_and_dotted_name(measurement):
-    ctx = build_index(measurement)
-    assert resolve_state(ctx, "MeasureTemp") == (
+def test_state_refs_by_bare_and_dotted_name(measurement):
+    refs = measurement.state_refs
+    assert refs["MeasureTemp"] == refs["main.Active.temperature.MeasureTemp"] == (
         "main", "Active", "temperature", "MeasureTemp"
     )
-    assert resolve_state(ctx, "main.Standby") == ("main", "Standby")
-    with pytest.raises(KeyError):
-        resolve_state(ctx, "Atlantis")
+    assert refs["main.Standby"] == ("main", "Standby")
+    # every state and final state, by both names, and nothing else
+    assert len(refs) == 2 * len(build_index(measurement).vertex)
+    for ref in ("Atlantis", "Active.temperature", "main.Active.temperature", "main.MeasureTemp"):
+        with pytest.raises(KeyError):
+            refs[ref]
 
 
 def test_evaluate_run_reports_failures():

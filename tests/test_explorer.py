@@ -19,6 +19,7 @@ import pytest
 
 from conftest import machine, scenario_for
 from flat_oracle import gen_flat_machine, gen_flat_scenario
+from hier_gen import features, gen_hier_machine, gen_hier_scenario
 from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
 from statebench.engine.state import RuntimeState
 from statebench.explorer import ExploreBounds, check, explore
@@ -249,9 +250,31 @@ BOUNDED_CASES = [
 ])
 @pytest.mark.parametrize("name,scn_ref", BOUNDED_CASES)
 def test_bounded_pruned_and_unpruned_agree(name, scn_ref, bounds):
-    # a bound must cut the same schedules whatever order the walk takes
     m = machine(name)
     scn = parse_scenario(scn_ref, m).scenario if "{" in scn_ref else scenario_for(scn_ref, m)
+    assert_bounded_walks_agree(m, scn, bounds)
+
+
+@pytest.mark.parametrize("bounds", [
+    pytest.param(ExploreBounds(max_micro_steps=25), id="steps25"),
+    pytest.param(ExploreBounds(max_pool=1), id="pool1"),
+])
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_hierarchical_pruned_and_unpruned_agree(seed, bounds):
+    m = gen_hier_machine(seed)
+    assert_bounded_walks_agree(m, gen_hier_scenario(seed, m), bounds)
+
+
+def test_generated_hierarchical_machines_cover_every_feature():
+    found = set().union(*(features(gen_hier_machine(seed)) for seed in range(20)))
+    assert found == {
+        "composite", "orthogonal", "final", "entry", "exit", "accept", "send to self", "par",
+        "defer on a composite", "internal", "completion",
+    }
+
+
+def assert_bounded_walks_agree(m, scn, bounds):
+    # a bound must cut the same schedules whatever order the walk takes
     pruned = explore(m, scn, bounds=bounds, prune=True)
     full = explore(m, scn, bounds=bounds, prune=False)
     assert pruned.total == full.total

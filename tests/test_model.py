@@ -131,6 +131,17 @@ def test_unknown_variable_in_assignment_and_guard():
     assert got.count("UnknownVariable") == 2
 
 
+def test_unknown_guard_operator_rejected():
+    # the parser reads only the operators of GUARD_OPS, but a model built in
+    # code may hold another, which the kernel could not evaluate
+    t = M.Transition(
+        "T1", "S1", "S2", M.TransitionKind.EXTERNAL, trigger="e1",
+        guard=M.Guard("n", "<=", 0),
+    )
+    r = _region([M.State("S1"), M.State("S2")], [t])
+    assert codes(_machine((r,), variables=("n",))) == ["BadGuard"]
+
+
 def test_misplaced_final_node():
     a = M.Activity("a", (M.FinalNode(), M.Task("late")))
     r = _region([M.State("S1", do_activity="a")], [])

@@ -197,6 +197,22 @@ def test_eventually_active_dotted_reference_is_a_full_vertex_path(ref, ok):
         assert ref in res.errors[0].message
 
 
+@pytest.mark.parametrize("expectation,unknown", [
+    ("eventually-active Nope", ["state 'Nope'"]),
+    ("emits tempMeasured, bad1, bad2", ["signal 'bad1'", "signal 'bad2'"]),
+    ("never-discards bad1", ["signal 'bad1'"]),
+])
+def test_unknown_reference_in_an_expectation_keeps_the_next_statement(measurement, expectation, unknown):
+    # one diagnostic per unknown name, at the `expect` statement, and the
+    # statement after it is still read
+    res = parse_scenario(f"scenario s {{ expect {expectation}; inject bogus; }}", measurement)
+    where = 14 + len("expect ") + len(expectation) + 2
+    assert [(e.code, e.span.column) for e in res.errors] == [("UnknownReference", 14)] * len(unknown) + [
+        ("UnknownReference", where)
+    ]
+    assert all(u in e.message for u, e in zip(unknown + ["'bogus'"], res.errors))
+
+
 def test_pretty_print_round_trips_fixtures():
     for name in ("measurement", "composite-defer-steal", "accept-defer-override",
                  "do-internal", "orthogonal-do", "par-final"):
