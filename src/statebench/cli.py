@@ -160,7 +160,7 @@ def cmd_explore(args) -> int:
     model, scenario = _load(args)
     bounds = ExploreBounds(max_micro_steps=args.max_steps, max_pool=args.max_pool)
     ts = explore(model, scenario, bounds, prune=not args.no_prune)
-    verdicts = ts.check_all()
+    verdicts, signals = ts.check_all(), ts.signal_partition()
 
     if args.format == "structured":
         doc = {
@@ -169,7 +169,7 @@ def cmd_explore(args) -> int:
             "nodes": ts.stats.nodes,
             "edges": ts.stats.edges,
             "complete_traces": str(ts.total),
-            "signal_classes": len(ts.signal_partition()),
+            "signal_classes": len(signals),
             "normalized_classes": len(ts.normalized_partition()),
             "deadlocks": ts.stats.deadlocks,
             "truncated": ts.stats.truncated,
@@ -190,13 +190,13 @@ def cmd_explore(args) -> int:
     else:
         print(f"nodes: {ts.stats.nodes}   edges: {ts.stats.edges}")
         print(f"complete traces: {ts.total}")
-        print(f"signal classes: {len(ts.signal_partition())}   normalized: {len(ts.normalized_partition())}")
+        print(f"signal classes: {len(signals)}   normalized: {len(ts.normalized_partition())}")
         print(
             f"deadlocks: {ts.stats.deadlocks}   truncated: {ts.stats.truncated}   "
             f"discarding traces: {ts.stats.discard_traces}"
         )
         if args.classes:
-            for seq, cnt in sorted(ts.signal_partition().items(), key=lambda kv: (-kv[1], kv[0])):
+            for seq, cnt in sorted(signals.items(), key=lambda kv: (-kv[1], kv[0])):
                 sigs = ", ".join(seq) or "(silent)"
                 print(f"  {cnt:>8} x [{sigs}]")
         for v in verdicts:

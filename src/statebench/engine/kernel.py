@@ -35,11 +35,12 @@ activity and takes one micro-step per node; `build_index` lists, in
 `ModelIndex.runs`, the activities whose body is not empty, and a behavior
 with an empty body is no leg step at all.
 
-Step order: `enabled_steps` lists doActivity threads first, then legs, each
-by thread id as a number, then "net", then "sm"; within a thread, steps
-sort by `MicroStep.key()`. The thread label alone fixes a step's place
-(`steps.sort_group`), so every step is built by `_step` from its state,
-operand, kind, thread label and payload items.
+Step order: `enabled_steps` lists one group of steps per logical thread,
+each sorted by `MicroStep.key()`: the unfinished doActivity threads, then
+the legs, both in `st.threads` order (ascending tid, as `with_thread` keeps
+it), then "net", then "sm"; a pending dispatch lists its option steps alone.
+The dispatcher goes last, so the take-first strategy lets running activities
+register their accepters before the next event is pulled from the pool.
 
 Dispatch is two micro-steps: DispatchEvent pops an occurrence and computes
 *at that instant* the complete decision table (which transitions fire after
@@ -92,7 +93,7 @@ from .state import (
     _evolve,
     dotted,
 )
-from .steps import MicroStep, StepKind, sort_group
+from .steps import MicroStep, StepKind
 
 TransitionId = tuple[str, str]     # (dotted region path, transition name)
 
@@ -165,10 +166,6 @@ def _payload(*items: tuple[str, "str | int"]) -> tuple:
 
 def _step(st: RuntimeState, operand, kind: StepKind, thread: str, *items: tuple[str, "str | int"]) -> MicroStep:
     return MicroStep(kind, thread, _payload(*items), st, operand)
-
-
-def _canonical(steps) -> list[MicroStep]:
-    return sorted(steps, key=lambda s: (sort_group(s.thread), s.key()))
 
 
 def _without(queue: tuple, occ: Occurrence) -> tuple:
@@ -390,8 +387,9 @@ def _backlog(st: RuntimeState, signals: tuple[str, ...]) -> Optional[SignalOccur
 def analyze_dispatch(ctx: ModelIndex, st: RuntimeState, occ: Occurrence) -> tuple[tuple, ...]:
     """The full decision table for dispatching `occ` in `st`.
 
-    Options come back in canonical order; exactly one will be committed by a
-    ChooseAccepter/DeferEvent/DiscardEvent step."""
+    Options come back as the state machine's, if any, then the matching wait
+    points by (thread id, node); `enabled_steps` orders their steps by key.
+    Exactly one is committed by a ChooseAccepter/DeferEvent/DiscardEvent step."""
     if isinstance(occ, CompletionOccurrence):
         if st.status(occ.state) == "completed":
             tid = ctx.completion_of.get(occ.state)
@@ -532,36 +530,35 @@ def _option_step(st: RuntimeState, option: tuple) -> MicroStep:
     return _step(st, option, _OPTION_KIND[option[0]], "sm", *items)
 
 
+def _by_key(steps) -> list[MicroStep]:
+    return sorted(steps, key=MicroStep.key)
+
+
 def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
     """Every micro-step some logical thread could take next, in canonical
     order. Empty exactly when the machine is stable with a fully drained
     environment and no runnable doActivity work."""
     # a pending dispatch decision is committed before anything else moves
     if st.pending is not None:
-        return _canonical(_option_step(st, o) for o in st.pending.options)
+        return _by_key(_option_step(st, o) for o in st.pending.options)
 
     steps = []
     for th in st.threads:
-        if isinstance(th, DoThread):
-            if not th.finished:
-                steps.extend(_do_steps(ctx, st, th))
-        else:
-            steps.extend(_leg_steps(ctx, st, th))
+        if isinstance(th, DoThread) and not th.finished:
+            steps += _by_key(_do_steps(ctx, st, th))
+    for th in st.threads:
+        if isinstance(th, LegThread):
+            steps += _by_key(_leg_steps(ctx, st, th))
+    steps += _by_key(_step(st, occ, StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
 
-    steps.extend(_step(st, occ, StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
-    steps.extend(
-        _step(st, path, StepKind.GENERATE_COMPLETION, "sm", ("state", dotted(path)))
-        for path, status in st.active
-        if status == "completing"
-    )
-
-    if not st.rtc_active() and not st.completion_pending():
-        # the completion pool goes first; either pool dispatches its oldest
-        pool = st.queue_completion or st.queue_regular
-        if pool:
-            steps.append(_step(st, pool[0], StepKind.DISPATCH, "sm", ("occ", pool[0].brief())))
-
-    return _canonical(steps)
+    # a detected completion is generated before any dispatch; the
+    # completion pool goes first, and either pool dispatches its oldest
+    if st.completion_pending():
+        steps += _by_key(_step(st, path, StepKind.GENERATE_COMPLETION, "sm", ("state", dotted(path)))
+                         for path, status in st.active if status == "completing")
+    elif not st.rtc_active() and (pool := st.queue_completion or st.queue_regular):
+        steps.append(_step(st, pool[0], StepKind.DISPATCH, "sm", ("occ", pool[0].brief())))
+    return steps
 
 
 # --- apply ----------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..trace import Payload
+
 
 class StepKind(Enum):
     DISPATCH = "DispatchEvent"
@@ -33,11 +35,7 @@ class StepKind(Enum):
     DELIVER = "DeliverInFlight"
     INJECT = "Inject"
 
-
-# Payload values are restricted to strings and ints so steps stay hashable
-# and render identically everywhere (trace text, structured output, replay
-# scripts).
-Payload = tuple[tuple[str, "str | int"], ...]
+    __hash__ = object.__hash__   # members are singletons; Enum's hash rehashes the name
 
 
 @dataclass(frozen=True)
@@ -61,21 +59,3 @@ class MicroStep:
     def key(self) -> str:
         """Stable identity used by replay scripts and trace records."""
         return self._key
-
-
-def sort_group(thread: str) -> tuple[int, int]:
-    """Canonical ordering of logical threads in the enabled-step list.
-
-    doActivity threads come first, then compound transition legs, each by
-    thread id as a number, then delivery and machine bookkeeping. The
-    dispatcher sorting last means the take-first strategy lets running
-    activities make progress (and register their accepters) before the next
-    event is pulled from the pool.
-    """
-    if thread.startswith("do"):
-        return (0, int(thread[2:]))
-    if thread.startswith("leg"):
-        return (1, int(thread[3:]))
-    if thread == "net":
-        return (2, 0)
-    return (3, 0)

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
-Payload = tuple[tuple[str, "str | int"], ...]
+Payload = tuple[tuple[str, "str | int"], ...]   # hashable, and rendered alike everywhere
 VERSION = 1                        # of the structured rendering
 
 

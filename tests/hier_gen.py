@@ -3,9 +3,11 @@
 `flat_oracle` generates one region of simple states. The machines here have
 what it cannot see: composite states with one or two nested (orthogonal)
 regions, final states, entry and exit behaviors, doActivities that accept,
-send to self and fork with `par`, deferral on composite states, and
-internal and completion transitions. There is no sequential oracle for
-them; the standing oracle is that pruned and unpruned exploration agree.
+send to self and fork with `par` (two of them alive at once: a composite's
+and its substate's, or one in each orthogonal region), deferral on
+composite states, and internal and completion transitions. There is no
+sequential oracle for them; the standing oracle is that pruned and
+unpruned exploration agree.
 
 Every machine passes `validate`, and every schedule of every scenario ends:
 external and completion transitions only move forward in their region's
@@ -16,6 +18,7 @@ Sizes are kept small enough for an unpruned walk.
 
     machine = gen_hier_machine(seed)
     scenario = gen_hier_scenario(seed, machine)
+    seeds = seeds_with("two dos alive at once")
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def gen_hier_machine(seed: int) -> M.MachineModel:
     count = [0]
     # doActivities left in the machine and in the top-level state being
     # built, and nodes left for them: each one multiplies the interleavings
-    work = [2, 1, 3]
+    work = [2, 2, 3]
 
     def fresh(prefix: str) -> str:
         count[0] += 1
@@ -78,6 +81,9 @@ def gen_hier_machine(seed: int) -> M.MachineModel:
             return None
         work[0] -= 1
         work[1] -= 1
+        if not work[1]:  # the second in its top-level state runs one plain node
+            work[2] -= 1
+            return define([plain_node()])
         body: list[M.Node] = []
         while work[2] and (not body or rng.random() < 0.5):
             body.append(do_node())
@@ -118,7 +124,7 @@ def gen_hier_machine(seed: int) -> M.MachineModel:
 
     def state(depth: int, calm: float) -> M.State:
         if depth == 0:  # top-level states are never active together
-            work[1] = 1
+            work[1] = 2
         composite = depth == 0 and rng.random() < 0.45
         orthogonal = composite and rng.random() < 0.4
         regions = tuple(region(depth + 1, 0.3 if orthogonal else 1) for _ in range(1 + orthogonal)) if composite else ()
@@ -126,7 +132,7 @@ def gen_hier_machine(seed: int) -> M.MachineModel:
             fresh("S"),
             entry=behavior(0.35 * calm),
             exit=behavior(0.25 * calm),
-            do_activity=None if orthogonal else do_activity(0.3 if composite else 0.4),
+            do_activity=None if orthogonal else do_activity(0.5 if composite else 0.4),
             defer=tuple(rng.sample(TRIGGERS, 1)) if composite and rng.random() < 0.5 else (),
             regions=regions,
         )
@@ -174,7 +180,8 @@ def features(machine: M.MachineModel) -> set[str]:
                 continue
             todo += v.regions
             named = {"composite": v.regions, "orthogonal": len(v.regions) == 2, "entry": v.entry,
-                     "exit": v.exit, "defer on a composite": v.defer and v.regions}
+                     "exit": v.exit, "defer on a composite": v.defer and v.regions,
+                     "two dos alive at once": bool(v.do_activity) + sum(map(_has_do, v.regions)) >= 2}
             found.update(name for name, has in named.items() if has)
             for n in M.walk_body(acts[v.do_activity].body) if v.do_activity else ():
                 if isinstance(n, M.AcceptEvent):
@@ -184,3 +191,13 @@ def features(machine: M.MachineModel) -> set[str]:
                 elif isinstance(n, M.SendSignal) and not n.to_env:
                     found.add("send to self")
     return found
+
+
+def _has_do(region: M.Region) -> bool:
+    """Whether some state in `region`, at any depth, has a doActivity."""
+    return any(isinstance(v, M.State) and (v.do_activity or any(map(_has_do, v.regions))) for v in region.vertices)
+
+
+def seeds_with(feature: str, seeds: range = range(20)) -> list[int]:
+    """The seeds among `seeds` whose machine has `feature`."""
+    return [seed for seed in seeds if feature in features(gen_hier_machine(seed))]

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import machine, scenario_for
 from flat_oracle import gen_flat_machine, gen_flat_scenario
-from hier_gen import features, gen_hier_machine, gen_hier_scenario
+from hier_gen import features, gen_hier_machine, gen_hier_scenario, seeds_with
 from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
 from statebench.engine.state import RuntimeState
 from statebench.explorer import ExploreBounds, check, explore
@@ -255,11 +255,15 @@ def test_bounded_pruned_and_unpruned_agree(name, scn_ref, bounds):
     assert_bounded_walks_agree(m, scn, bounds)
 
 
-@pytest.mark.parametrize("bounds", [
-    pytest.param(ExploreBounds(max_micro_steps=25), id="steps25"),
-    pytest.param(ExploreBounds(max_pool=1), id="pool1"),
+GENERATED_BOUNDS = {"steps25": ExploreBounds(max_micro_steps=25), "pool1": ExploreBounds(max_pool=1)}
+
+
+@pytest.mark.parametrize("seed,bounds", [
+    *(pytest.param(seed, b, id=f"{seed}-{name}") for seed in range(20) for name, b in GENERATED_BOUNDS.items()),
+    # where two doActivities are alive at once, a shorter walk as well
+    *(pytest.param(seed, ExploreBounds(max_micro_steps=15), id=f"{seed}-steps15")
+      for seed in seeds_with("two dos alive at once")),
 ])
-@pytest.mark.parametrize("seed", range(20))
 def test_generated_hierarchical_pruned_and_unpruned_agree(seed, bounds):
     m = gen_hier_machine(seed)
     assert_bounded_walks_agree(m, gen_hier_scenario(seed, m), bounds)
@@ -269,7 +273,7 @@ def test_generated_hierarchical_machines_cover_every_feature():
     found = set().union(*(features(gen_hier_machine(seed)) for seed in range(20)))
     assert found == {
         "composite", "orthogonal", "final", "entry", "exit", "accept", "send to self", "par",
-        "defer on a composite", "internal", "completion",
+        "defer on a composite", "internal", "completion", "two dos alive at once",
     }
 
 

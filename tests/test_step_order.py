@@ -3,7 +3,9 @@
 doActivity threads first, then compound transition legs, then "net", then
 "sm"; threads of one kind by their id as a number; within a thread, by step
 key. The expected order is computed here from the thread label alone, so a
-string sort of the labels (which puts "do10" before "do9") is caught.
+string sort of the labels (which puts "do10" before "do9") is caught. The
+walks cover every fixture scenario and the generated machines that have two
+doActivities alive at once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import FIXTURE_PAIRS, FIXTURES
+from hier_gen import gen_hier_machine, gen_hier_scenario, seeds_with
 from statebench.engine import kernel
 from statebench.engine.driver import RandomStrategy, run
 from statebench.explorer import explore
@@ -60,10 +63,18 @@ def checked(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("model_name,scn_name", FIXTURE_PAIRS)
-def test_fixture_walks_are_canonical(model_name, scn_name, checked):
-    m = load_model(str(FIXTURES / f"{model_name}.psm"))
-    ts = explore(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m))
+def walks():
+    for model_name, scn_name in FIXTURE_PAIRS:
+        m = load_model(str(FIXTURES / f"{model_name}.psm"))
+        yield pytest.param(m, load_scenario(str(FIXTURES / f"{scn_name}.scn"), m), id=f"{model_name}-{scn_name}")
+    for seed in seeds_with("two dos alive at once"):
+        m = gen_hier_machine(seed)
+        yield pytest.param(m, gen_hier_scenario(seed, m), id=f"hier{seed}")
+
+
+@pytest.mark.parametrize("m,scn", walks())
+def test_fixture_walks_are_canonical(m, scn, checked):
+    ts = explore(m, scn)
     assert checked and len(checked) == ts.stats.nodes
 
 
