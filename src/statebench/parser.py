@@ -5,12 +5,14 @@ syntax or validation, is a `model.ModelError` with a SourceSpan. parse_model
 also runs model validation, meaning a ParseResult with ok=True always holds
 an executable model.
 
-The lexer is one pattern, `_TOKEN`: a newline, a run of blanks, a `//`
-comment, a word (`\\w+`) or a mark of `_PUNCT`, tried in that order. A word
-that starts with a letter or `_` is a name, and a keyword is its own token
-kind. A word that starts with a digit gives its leading run of
-`str.isdigit` characters as an integer, and the rest is lexed again. Any
-other character is a BadCharacter diagnostic.
+The lexer is one `finditer` pass of one pattern, `_TOKEN`. Each match
+absorbs a run of blanks (space, tab, CR) and then takes a newline, a `//`
+comment, a mark of `_PUNCT`, or a word (`\\w+`) or else one character that
+is no blank, in that order; blanks at the end of the text match nothing.
+Tokens are tuples. A word that starts with a letter or `_` is a name, and a
+keyword is its own token kind. A word that starts with a digit gives its
+leading run of `str.isdigit` characters as an integer, and the rest is
+lexed again. Any other character is a BadCharacter diagnostic.
 
 Recovery is panic mode. Every `{ ... }` body is read by the same loop,
 ``while cur.more(): with cur.statement(): ...``. A syntax error records its
@@ -32,12 +34,13 @@ Example::
 
 from __future__ import annotations
 
+import io
 import os
 import re
 
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Callable, NoReturn, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, NoReturn, Optional, TypeVar, Union
 
 from . import model as M
 from . import scenario as S
@@ -53,11 +56,10 @@ KEYWORDS = {
 _PUNCT = ("->", ":=", "==", "!=", "{", "}", ";", ":", ",", "|", "/", "[",
           "]", "<", ">", "+", "-", ".")
 
-_TOKEN = re.compile(r"(\n)|[ \t\r]+|//[^\n]*|(\w+)|(" + "|".join(map(re.escape, _PUNCT)) + ")")
+_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|//[^\n]*|(" + "|".join(map(re.escape, _PUNCT)) + r")|(\w+|[^ \t\r\n]))")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str        # "ident", "int", "eof", a keyword, or the punctuation text itself
     text: str
     line: int
@@ -98,30 +100,27 @@ class ParseFailure(Exception):
 
 def _lex(text: str, file: str, errors: list[M.ModelError]) -> list[Token]:
     tokens: list[Token] = []
-    line, start, i, n = 1, 0, 0, len(text)
-    match = _TOKEN.match
-    while i < n:
-        m = match(text, i)
-        group, j = (m.lastindex, m.end()) if m else (0, i + 1)
-        if group is None:  # blanks or a comment
-            pass
-        elif group == 1:
-            line, start = line + 1, j
-        elif group == 3:
-            tokens.append(Token(m[3], m[3], line, i - start + 1))
-        elif group == 2 and (text[i].isalpha() or text[i] == "_"):
-            word = m[2]
-            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, i - start + 1))
-        elif group == 2 and text[i].isdigit():
-            digits = "".join(takewhile(str.isdigit, m[2]))
-            tokens.append(Token("int", digits, line, i - start + 1))
-            j = i + len(digits)
-        else:  # no match, or a word that starts with neither a letter nor a digit
-            errors.append(M.ModelError("BadCharacter", f"unexpected character {text[i]!r}",
-                                       M.SourceSpan(file, line, i - start + 1)))
-            j = i + 1
-        i = j
-    tokens.append(Token("eof", "", line, n - start + 1))
+    line, start = 1, 0  # the line number and the offset where the line starts
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            line, start = line + 1, m.end()
+        elif group == 2:
+            tokens.append(Token(m[2], m[2], line, m.start(2) - start + 1))
+        elif group == 3:  # a word, or one character that no other group takes
+            i, word = m.start(3), m[3]
+            while word:  # after an integer or a bad character, the rest of the word is lexed again
+                if word[0].isalpha() or word[0] == "_":
+                    tokens.append(Token(word if word in KEYWORDS else "ident", word, line, i - start + 1))
+                    break
+                head = "".join(takewhile(str.isdigit, word)) or word[0]
+                if head[0].isdigit():
+                    tokens.append(Token("int", head, line, i - start + 1))
+                else:
+                    errors.append(M.ModelError("BadCharacter", f"unexpected character {head!r}",
+                                               M.SourceSpan(file, line, i - start + 1)))
+                i, word = i + len(head), word[len(head):]
+    tokens.append(Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -244,7 +243,8 @@ def _load(path: "str | os.PathLike[str]", parse: Callable[[str, str], _R]) -> _R
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:  # exc.object holds the whole file: read() decodes it at once
-        lines = re.split(r"\r\n?|\n", exc.object[:exc.start].decode("utf-8"))
+        # the newlines as open() translates them for the lexer: a CR LF pair or a lone CR is "\n"
+        lines = io.StringIO(exc.object[:exc.start].decode("utf-8"), newline=None).read().split("\n")
         span = M.SourceSpan(str(path), len(lines), len(lines[-1]) + 1)
         raise ParseFailure([M.ModelError("BadEncoding", f"file is not UTF-8 text: {exc.reason}", span)]) from None
     result = parse(text, str(path))

@@ -28,6 +28,7 @@ from typing import Optional
 
 from statebench import model as M
 from statebench import scenario as S
+from statebench.explorer import explore
 
 TRIGGERS = ("e0", "e1", "e2")    # injected by the scenarios
 SELF = ("s0",)                   # sent to self by doActivities
@@ -165,8 +166,11 @@ def gen_hier_scenario(seed: int, machine: M.MachineModel) -> S.Scenario:
     return S.Scenario(name=f"hier{seed}", steps=tuple(steps), expectations=expectations)
 
 
-def features(machine: M.MachineModel) -> set[str]:
-    """The names of the generated features that `machine` has."""
+def features(seed: int) -> set[str]:
+    """The names of the generated features that the machine of `seed` has;
+    "two dos alive at once" only if some state that its scenario reaches
+    offers steps of two doActivity threads."""
+    machine = gen_hier_machine(seed)
     acts = {a.name: a for a in machine.activities}
     found: set[str] = set()
     todo = list(machine.regions)
@@ -180,8 +184,7 @@ def features(machine: M.MachineModel) -> set[str]:
                 continue
             todo += v.regions
             named = {"composite": v.regions, "orthogonal": len(v.regions) == 2, "entry": v.entry,
-                     "exit": v.exit, "defer on a composite": v.defer and v.regions,
-                     "two dos alive at once": bool(v.do_activity) + sum(map(_has_do, v.regions)) >= 2}
+                     "exit": v.exit, "defer on a composite": v.defer and v.regions}
             found.update(name for name, has in named.items() if has)
             for n in M.walk_body(acts[v.do_activity].body) if v.do_activity else ():
                 if isinstance(n, M.AcceptEvent):
@@ -190,14 +193,13 @@ def features(machine: M.MachineModel) -> set[str]:
                     found.add("par")
                 elif isinstance(n, M.SendSignal) and not n.to_env:
                     found.add("send to self")
+    # an edge's first record is its step's, labelled by the thread that took it
+    if any(len({e.records[0].thread for e in node.edges if e.records[0].thread.startswith("do")}) >= 2
+           for node in explore(machine, gen_hier_scenario(seed, machine)).nodes):
+        found.add("two dos alive at once")
     return found
 
 
-def _has_do(region: M.Region) -> bool:
-    """Whether some state in `region`, at any depth, has a doActivity."""
-    return any(isinstance(v, M.State) and (v.do_activity or any(map(_has_do, v.regions))) for v in region.vertices)
-
-
 def seeds_with(feature: str, seeds: range = range(20)) -> list[int]:
-    """The seeds among `seeds` whose machine has `feature`."""
-    return [seed for seed in seeds if feature in features(gen_hier_machine(seed))]
+    """The seeds among `seeds` whose machine and scenario have `feature`."""
+    return [seed for seed in seeds if feature in features(seed)]

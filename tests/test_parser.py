@@ -12,6 +12,7 @@ from statebench import model as M
 from statebench import scenario as S
 from statebench.parser import (
     ParseFailure,
+    _lex,
     load_model,
     load_scenario,
     parse_model,
@@ -145,6 +146,88 @@ def test_load_model_points_at_the_first_byte_that_is_not_utf8(tmp_path):
         load_model(bad)
     assert [str(e) for e in exc.value.errors] == [
         f"BadEncoding: file is not UTF-8 text: invalid start byte at {bad}:2:13"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_bad_encoding_counts_lines_as_the_lexer_reads_the_file(tmp_path, newline):
+    # a byte that is not UTF-8 and a bad character at the same place get the same position
+    def first_error(bad: bytes) -> str:
+        path = tmp_path / "m.psm"
+        path.write_bytes(newline.join(["machine M {", "  signals a;", "  éX", "}", ""])
+                         .encode().replace(b"X", bad))
+        with pytest.raises(ParseFailure) as exc:
+            load_model(path)
+        return exc.value.errors[0].span.label()
+
+    assert first_error(b"\xff") == first_error(b"@") == f"{tmp_path / 'm.psm'}:3:4"
+
+
+def lexed(text: str) -> tuple[list[tuple[str, str, int, int]], list[str]]:
+    errors: list[M.ModelError] = []
+    tokens = [(t.kind, t.text, t.line, t.column) for t in _lex(text, "f", errors)]
+    return tokens, [str(e) for e in errors]
+
+
+def bad(char: str, line: int, column: int) -> str:
+    return f"BadCharacter: unexpected character {char!r} at f:{line}:{column}"
+
+
+@pytest.mark.parametrize("text,tokens,diagnostics", [
+    pytest.param("machine  \t", [("machine", "machine", 1, 1), ("eof", "", 1, 11)], [], id="blanks-at-eof"),
+    pytest.param("machine \t\n", [("machine", "machine", 1, 1), ("eof", "", 2, 1)], [], id="blanks-then-newline-at-eof"),
+    pytest.param("a\t \n \t", [("ident", "a", 1, 1), ("eof", "", 2, 3)], [], id="blanks-on-the-last-line"),
+    pytest.param("a\r\nb \r\n", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 3, 1)], [], id="crlf"),
+    pytest.param("a\rb\r", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 5)], [], id="lone-cr"),
+    pytest.param("a\fb", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)], [bad("\f", 1, 2)], id="form-feed"),
+    pytest.param("a\vb", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)], [bad("\v", 1, 2)], id="vertical-tab"),
+    pytest.param("a\xa0b", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)], [bad("\xa0", 1, 2)], id="nbsp"),
+    pytest.param("a   \t@ \t", [("ident", "a", 1, 1), ("eof", "", 1, 9)], [bad("@", 1, 6)], id="blanks-then-bad-character"),
+    pytest.param("12abc", [("int", "12", 1, 1), ("ident", "abc", 1, 3), ("eof", "", 1, 6)], [], id="digits-then-letters"),
+    pytest.param("1²3", [("int", "1²3", 1, 1), ("eof", "", 1, 4)], [], id="superscript-digit"),
+    pytest.param("١٢x", [("int", "١٢", 1, 1), ("ident", "x", 1, 3), ("eof", "", 1, 4)], [], id="arabic-indic-digits"),
+    pytest.param("9\u0301x", [("int", "9", 1, 1), ("ident", "x", 1, 3), ("eof", "", 1, 4)], [bad("\u0301", 1, 2)],
+                 id="digit-then-mark"),
+    pytest.param("1½2x", [("int", "1", 1, 1), ("int", "2", 1, 3), ("ident", "x", 1, 4), ("eof", "", 1, 5)],
+                 [bad("½", 1, 2)], id="digit-then-numeric"),
+    pytest.param("é", [("ident", "é", 1, 1), ("eof", "", 1, 2)], [], id="accented-name"),
+    pytest.param("a // c @", [("ident", "a", 1, 1), ("eof", "", 1, 9)], [], id="comment-at-eof"),
+    pytest.param("a //\nb", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 2, 2)], [], id="comment-then-newline"),
+    pytest.param("->", [("->", "->", 1, 1), ("eof", "", 1, 3)], [], id="arrow"),
+    pytest.param("- >", [("-", "-", 1, 1), (">", ">", 1, 3), ("eof", "", 1, 4)], [], id="minus-blank-greater"),
+    pytest.param("=!", [("eof", "", 1, 3)], [bad("=", 1, 1), bad("!", 1, 2)], id="half-operators"),
+])
+def test_token_stream(text, tokens, diagnostics):
+    assert lexed(text) == (tokens, diagnostics)
+
+
+LEXER_ALPHABET = ["a", "Z", "_", "0", "7", "\u0301", " ", "\t", "\r", "\n", "\f", "\xa0", "²", "١",
+                  "//", "/", "-", ">", "@"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_ALPHABET), max_size=30).map("".join))
+def test_tokens_sit_in_the_text_in_order(text):
+    errors: list[M.ModelError] = []
+    tokens = _lex(text, "f", errors)
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    covered: set[int] = set()
+    end = 0
+    for tok in tokens:
+        at = starts[tok.line - 1] + tok.column - 1
+        assert text[at:at + len(tok.text)] == tok.text
+        assert at >= end  # in order, and no two overlap
+        end = at + len(tok.text)
+        covered.update(range(at, end))
+    assert tokens[-1].kind == "eof" and (tokens[-1].line, tokens[-1].column) == (len(starts), len(text) - starts[-1] + 1)
+    bad_at = {starts[e.span.line - 1] + e.span.column - 1 for e in errors if e.code == "BadCharacter"}
+    i = 0
+    while i < len(text):
+        if text.startswith("//", i) and i not in covered:
+            i = text.find("\n", i)  # a comment runs to the end of its line
+            i = len(text) if i < 0 else i
+            continue
+        assert i in covered or i in bad_at or text[i] in " \t\r\n", (text, i)
+        i += 1
 
 
 def test_scenario_parses(measurement):
