@@ -44,10 +44,9 @@ DAG can exhaust the interpreter's stack:
 - the builder, `explore`: a depth-first walk on an explicit stack that
   numbers nodes as they finish, so ids are a topological order: every child
   comes before its parent, and the root is last;
-- `_fold(nodes, start, step)`: the exact number of complete traces that end
-  in each monitor state, one pass over the product of a DAG and the
-  monitor's states, from the root down, that frees each node's row once it
-  is read;
+- `TraceSet._count(monitor)`: the exact number of complete traces a monitor
+  accepts, one pass over the product of the DAG and the monitor's states,
+  from the root down, that frees each node's row once it is read;
 - `TraceSet._accepted(monitor)`: the complete record paths a monitor
   accepts, in canonical edge order (each node's edges in the order the
   kernel enabled them). A (node, state) pair that led to no accepted path is
@@ -56,23 +55,29 @@ DAG can exhaust the interpreter's stack:
 A monitor is a triple `(start, step, accept)`: the state at the root,
 `step(state, edge)` giving the state after a followed edge (None rejects the
 edge and every path through it), and `accept(state)`, judged at a terminal
-node. `_count(monitor)` sums the fold over the accepted states. Expectations,
-the discard count and class witnesses are monitors, and a witness or
-counterexample is always the first accepted path in canonical edge order.
-DAG nodes hold no runtime state, so `eventually-active S` is judged from the
-records: S becomes active exactly on an `EnterState` record whose `state` is
-S's dotted path.
+node. Expectations, the discard count and class witnesses are monitors, and
+a witness or counterexample is always the first accepted path in canonical
+edge order. DAG nodes hold no runtime state, so `eventually-active S` is
+judged from the records: S becomes active exactly on an `EnterState` record
+whose `state` is S's dotted path.
 
-`partition` is a fold too, over the DAG's observational quotient, and its
-monitor state is the id of a node in the trie of observable prefixes. The
-quotient merges DAG nodes whose complete traces below emit equal multisets
-of observable sequences. A class is keyed by whether the node is terminal
-and by the sorted (obs, child class) pairs of its edges, computed children
-first: nodes with equal keys have equal multisets by induction, and a node
-whose only way on is one silent edge has its child's. Merging is exact, so
-the fold over the quotient counts what the fold over the DAG would, with
-far fewer nodes and edges (`s3`: 3,381 classes for 38,674 nodes). Every
-query that reads records (counts, flags, witnesses) runs on the DAG.
+`partition` runs on the DAG's observational quotient, which merges DAG nodes
+whose complete traces below emit equal multisets of observable sequences. A
+class is keyed by whether the node is terminal and by the sorted (obs, child
+class) pairs of its edges, computed children first: nodes with equal keys
+have equal multisets by induction, and a node whose only way on is one
+silent edge has its child's. Merging is exact, so paths in the quotient
+count what they count in the DAG, with far fewer nodes (`s3`: 3,381 classes
+for 38,674 nodes). The classes come from a depth-first walk over the
+quotient's observable prefixes, the weighted subset construction done on the
+fly (Mohri, "Finite-state transducers in language and speech processing",
+1997). A prefix carries its frontier, the number of paths that read it to
+each class. The closure over silent edges takes classes highest id first,
+so each weight is whole when taken; the terminal classes' weight is the
+prefix's count, and the observable edges, grouped by observable, give the
+next frontiers. An edge emits at most one observable, so pushing the groups
+in reverse order yields the prefixes in sorted order. Every query that reads
+records (counts, flags, witnesses) runs on the DAG.
 
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
@@ -85,7 +90,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
 from . import model as M
 from . import scenario as S
@@ -114,7 +121,7 @@ class ExploreBounds:
 class Edge:
     records: tuple[Record, ...]    # the step's record plus any forced injections
     child: int
-    obs: tuple[tuple[str, str], ...]
+    obs: tuple[tuple[str, str], ...]  # at most one: injections emit nothing, and `partition` relies on it
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,29 +187,6 @@ def _enters(e: Edge, state: str) -> bool:
     return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in e.records)
 
 
-def _fold(nodes: Sequence[Node], start: Any, step: Callable[[Any, Edge], Any]) -> dict[Any, int]:
-    """Exact number of complete paths through the DAG `nodes` that end in
-    each monitor state. Nodes are numbered children before parents with the
-    root last, so in reverse each node's row of (monitor state -> paths from
-    the root) is whole when it is read. An empty DAG has no path."""
-    rows: dict[int, dict[Any, int]] = {len(nodes) - 1: {start: 1}} if nodes else {}
-    ends: dict[Any, int] = {}
-    for nid in reversed(range(len(nodes))):
-        row = rows.pop(nid)  # the root's, or filled in by an edge into the node
-        node = nodes[nid]
-        if node.terminal:
-            for s, cnt in row.items():
-                ends[s] = ends.get(s, 0) + cnt
-            continue
-        for e in node.edges:  # deadlocked and truncated nodes have none
-            below = rows.setdefault(e.child, {})
-            for s, cnt in row.items():
-                s2 = step(s, e)
-                if s2 is not None:
-                    below[s2] = below.get(s2, 0) + cnt
-    return ends
-
-
 class TraceSet:
     """The result of one exploration: a trace DAG plus the queries the rest
     of the toolchain needs (counts, classes, witnesses, expectation checks).
@@ -231,10 +215,24 @@ class TraceSet:
     # -- the generic queries -------------------------------------------------
 
     def _count(self, monitor: Monitor) -> int:
-        """Exact number of complete traces `monitor` accepts."""
+        """Exact number of complete traces `monitor` accepts. Nodes are
+        numbered children first, so in reverse each node's row (monitor state
+        -> paths from the root) is whole when it is read, and freed then."""
         start, step, accept = monitor
-        ends = _fold(self.nodes, start, step)
-        return sum(cnt for s, cnt in ends.items() if accept(s))
+        rows: dict[int, dict[Any, int]] = {self.root: {start: 1}}
+        count = 0
+        for nid in reversed(range(len(self.nodes))):
+            row = rows.pop(nid)  # the root's, or filled in by an edge into the node
+            node = self.nodes[nid]
+            if node.terminal:
+                count += sum(cnt for s, cnt in row.items() if accept(s))
+            for e in node.edges:  # none at leaves: terminal, deadlocked, truncated
+                below = rows.setdefault(e.child, {})
+                for s, cnt in row.items():
+                    s2 = step(s, e)
+                    if s2 is not None:
+                        below[s2] = below.get(s2, 0) + cnt
+        return count
 
     def _accepted(self, monitor: Monitor) -> Iterator[tuple[Record, ...]]:
         """Record paths of the complete traces `monitor` accepts, in
@@ -307,39 +305,39 @@ class TraceSet:
         root = cls.get(self.root)
         return [] if root is None else quot[: root + 1]  # later classes are not below the root
 
+    def _classes(self) -> Iterator[tuple[tuple[tuple[str, str], ...], int]]:
+        """Each class's (sequence, count), sorted: the module docstring's prefix walk."""
+        quot = self._quotient()
+        stack = [((), {len(quot) - 1: 1})] if quot else []
+        while stack:
+            prefix, weight = stack.pop()  # class id -> paths that read prefix
+            heap = [-c for c in weight]  # max-heap: a max() per pop is quadratic in the frontier
+            heapify(heap)
+            count = 0
+            nexts: dict[tuple[tuple[str, str], ...], dict[int, int]] = {}
+            while heap:
+                c = -heappop(heap)
+                w = weight[c]  # whole: silent edges into c come from higher ids
+                if quot[c].terminal:
+                    count += w
+                for e in quot[c].edges:
+                    if e.obs:
+                        into = nexts.get(e.obs)
+                        if into is None:
+                            into = nexts[e.obs] = {}
+                    else:
+                        into = weight
+                        if e.child not in weight:
+                            heappush(heap, -e.child)
+                    into[e.child] = into.get(e.child, 0) + w
+            if count:
+                yield prefix, count
+            stack.extend((prefix + obs, nexts[obs]) for obs in sorted(nexts, reverse=True))
+
     @cached_property
     def partition(self) -> dict[tuple[tuple[str, str], ...], int]:
-        """Exact count of complete traces per observable class: a fold over
-        the observational quotient whose state is the id of a node in the
-        trie of observable prefixes (an int id hashes at no cost; a prefix
-        tuple rehashes all of its items). Each id keeps only its parent id
-        and last item; a prefix is spelled out only for the ids that end a
-        complete trace."""
-        links: list[tuple[int, tuple[str, str]]] = [(0, ("", ""))]  # id -> (parent id, item); 0 is ()
-        ids: dict[tuple[int, tuple[str, str]], int] = {}
-
-        def step(pid: int, e: Edge) -> int:
-            if not e.obs:  # most quotient edges: no loop to set up
-                return pid
-            for o in e.obs:
-                link = (pid, o)
-                nxt = ids.get(link)
-                if nxt is None:
-                    nxt = ids[link] = len(links)
-                    links.append(link)
-                pid = nxt
-            return pid
-
-        def prefix(pid: int) -> tuple[tuple[str, str], ...]:
-            items = []
-            while pid:
-                pid, o = links[pid]
-                items.append(o)
-            return tuple(reversed(items))
-
-        quot = self._quotient()
-        ends = _fold(quot, 0, step)
-        return dict(sorted((prefix(pid), cnt) for pid, cnt in ends.items()))
+        """Exact count of complete traces per observable sequence, in sorted order."""
+        return dict(self._classes())
 
     def signal_partition(self) -> dict[tuple[str, ...], int]:
         """Classes keyed by signal sequence only (region dropped)."""
@@ -380,7 +378,7 @@ class TraceSet:
         if not self.truncated_traces:
             return tuple(self._mk_trace(p) for p in self._accepted(_EVERY))
         # every class has a complete trace, so each search finds one
-        seqs = list(self.partition)[: self.bounds.max_traces]
+        seqs = islice(self.partition, self.bounds.max_traces)
         return tuple(self._first(_obs_monitor(seq)) for seq in seqs)
 
     def find_trace(self, signals: tuple[str, ...]) -> Optional[Trace]:

@@ -230,6 +230,7 @@ _R = TypeVar("_R", ParseResult, ScenarioResult)
 def _parse(text: str, file: str, rule: Callable[[_Cursor], _T]) -> tuple[Optional[_T], list[M.ModelError]]:
     """Lex and apply `rule`; the value is None if there is any diagnostic."""
     errors: list[M.ModelError] = []
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # the line ends open() gives a file
     cur = _Cursor(_lex(text, file, errors), file, errors)
     value = None
     with cur.statement():

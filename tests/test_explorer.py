@@ -291,11 +291,13 @@ def assert_bounded_walks_agree(m, scn, bounds):
         verdict_json(v) for v in full.check_all()
     ]
     # no edge closes a cycle: every child is numbered before its parent,
-    # and the root is last
+    # and the root is last; and no edge emits more than one observable,
+    # which `partition` relies on when it groups edges by their obs
     for ts in (pruned, full):
         assert ts.root == len(ts.nodes) - 1
         for nid, node in enumerate(ts.nodes):
             assert all(e.child < nid for e in node.edges)
+            assert all(len(e.obs) <= 1 for e in node.edges)
 
 
 @pytest.mark.parametrize("seed", range(0, 30))
@@ -542,6 +544,7 @@ def test_partition_folds_over_a_smaller_quotient(s2):
             for seq, cnt in row.items():
                 below[seq + e.obs] += cnt
     assert ts.partition == dict(sorted(want.items()))
+    assert list(ts.partition) == sorted(ts.partition)  # dict equality ignores order
     assert sum(ts.partition.values()) == ts.total
     quot = ts._quotient()
     assert (len(quot), len(ts.nodes)) == (265, 885)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path
+from conftest import FIXTURE_PAIRS, fixture_path, machine
 from flat_oracle import gen_flat_machine
 from statebench import model as M
 from statebench import scenario as S
 from statebench.parser import (
     ParseFailure,
+    ParseResult,
     _lex,
     load_model,
     load_scenario,
@@ -160,6 +161,45 @@ def test_bad_encoding_counts_lines_as_the_lexer_reads_the_file(tmp_path, newline
         return exc.value.errors[0].span.label()
 
     assert first_error(b"\xff") == first_error(b"@") == f"{tmp_path / 'm.psm'}:3:4"
+
+
+LINE_END_TEXTS = [
+    pytest.param("machine M {\n  signals a;\n  @\n}\n", id="bad-character"),
+    pytest.param("machine M { // c\n  signals a;\n  region main { initial -> S; state S { } }\n}\n",
+                 id="comment"),
+    *(pytest.param(p.read_text(encoding="utf-8"), id=p.stem)
+      for p in sorted(fixture_path(".").glob("*.psm"))),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("text", LINE_END_TEXTS)
+def test_parse_model_reads_line_ends_as_load_model_does(tmp_path, text, newline):
+    # a string parsed in memory and the same bytes loaded from a file give
+    # the same diagnostics and the same model, whatever the line ends; spans
+    # compare equal whatever they hold, so the reprs are compared
+    text = text.replace("\n", newline)
+    path = tmp_path / "m.psm"
+    path.write_bytes(text.encode("utf-8"))
+    parsed = parse_model(text, str(path))
+    try:
+        loaded = ParseResult(load_model(path), [])
+    except ParseFailure as exc:
+        loaded = ParseResult(None, exc.errors)
+    assert [str(e) for e in parsed.errors] == [str(e) for e in loaded.errors]
+    assert repr(parsed.model) == repr(loaded.model)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("machine_name,name", FIXTURE_PAIRS)
+def test_parse_scenario_reads_line_ends_as_load_scenario_does(tmp_path, machine_name, name, newline):
+    m = machine(machine_name)
+    text = fixture_path(f"{name}.scn").read_text(encoding="utf-8").replace("\n", newline)
+    path = tmp_path / "s.scn"
+    path.write_bytes(text.encode("utf-8"))
+    parsed = parse_scenario(text, m, str(path))
+    assert parsed.ok, parsed.errors
+    assert repr(parsed.scenario) == repr(load_scenario(path, m))
 
 
 def lexed(text: str) -> tuple[list[tuple[str, str, int, int]], list[str]]:
