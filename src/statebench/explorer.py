@@ -68,16 +68,19 @@ class) pairs of its edges, computed children first: nodes with equal keys
 have equal multisets by induction, and a node whose only way on is one
 silent edge has its child's. Merging is exact, so paths in the quotient
 count what they count in the DAG, with far fewer nodes (`s3`: 3,381 classes
-for 38,674 nodes). The classes come from a depth-first walk over the
-quotient's observable prefixes, the weighted subset construction done on the
-fly (Mohri, "Finite-state transducers in language and speech processing",
-1997). A prefix carries its frontier, the number of paths that read it to
-each class. The closure over silent edges takes classes highest id first,
-so each weight is whole when taken; the terminal classes' weight is the
-prefix's count, and the observable edges, grouped by observable, give the
-next frontiers. An edge emits at most one observable, so pushing the groups
-in reverse order yields the prefixes in sorted order. Every query that reads
-records (counts, flags, witnesses) runs on the DAG.
+for 38,674 nodes). Silent edges are removed once per class (Mohri, "Generic
+epsilon-removal and input epsilon-normalization algorithms for weighted
+transducers", 2002): a class's row counts its silent paths to a terminal
+class and, per obs and class d, those that end in an edge emitting obs into
+d; a silent edge adds its child's row, built already. The classes come from
+a depth-first walk over the observable prefixes, the weighted subset
+construction done on the fly (Mohri, "Finite-state transducers in language
+and speech processing", 1997). A prefix's frontier maps each class to the
+paths that read the prefix to it; summed over it, the rows give the prefix's
+count and, grouped by obs, the next frontiers. An edge emits at most one
+observable, so pushing the groups in reverse order yields the prefixes in
+sorted order. Every query that reads records (counts, flags, witnesses) runs
+on the DAG.
 
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
@@ -90,7 +93,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
@@ -153,8 +155,17 @@ class ExpectationVerdict:
 
 if TYPE_CHECKING:  # at run time typing's cache would keep every imported Edge alive
     Monitor = tuple[Any, Callable[[Any, Edge], Any], Callable[[Any], bool]]  # start, step, accept
+    Paths = dict[tuple[tuple[str, str], ...], dict[int, int]]  # obs -> class id -> paths
 
 _EVERY: Monitor = (True, lambda s, e: s, lambda s: True)
+
+
+def _merge(into: Paths, paths: Paths, w: int) -> None:
+    """Adds `w` times each path count of `paths` into `into`."""
+    for obs, dests in paths.items():
+        acc = into.setdefault(obs, {})
+        for c, m in dests.items():
+            acc[c] = acc.get(c, 0) + w * m
 
 
 def _flag_monitor(hit: Callable[[Edge], bool], want: bool) -> Monitor:
@@ -281,16 +292,16 @@ class TraceSet:
 
     # -- observable classes --------------------------------------------------
 
-    def _quotient(self) -> list[Node]:
-        """The DAG's observational quotient (see the module docstring): one
-        node per class, numbered children first with the root's class last;
-        each edge keeps only its obs and repeats for its multiplicity. Empty
-        when no complete trace exists."""
-        cls: dict[int, int] = {}  # DAG node id -> class id
+    def _quotient(self) -> list[tuple[int, Paths]]:
+        """The DAG's observational quotient with its silent edges removed (see
+        the module docstring): one row `(ends, {obs: {class: paths}})` per
+        class, numbered children first with the root's class last. Empty when
+        no complete trace exists."""
+        cls: list[Optional[int]] = [None] * len(self.nodes)  # DAG node id -> class id
         ids: dict[tuple, int] = {}  # class key -> class id
-        quot: list[Node] = []
+        rows: list[tuple[int, Paths]] = []
         for nid, node in enumerate(self.nodes):
-            pairs = sorted((e.obs, cls[e.child]) for e in node.edges if e.child in cls)
+            pairs = sorted((e.obs, cls[e.child]) for e in node.edges if cls[e.child] is not None)
             if len(pairs) == 1 and not pairs[0][0]:  # one silent way on: the child's future
                 cls[nid] = pairs[0][1]
                 continue
@@ -299,37 +310,25 @@ class TraceSet:
             key = (node.terminal, tuple(pairs))
             c = ids.get(key)
             if c is None:
-                c = ids[key] = len(quot)
-                quot.append(Node(tuple(Edge((), child, obs) for obs, child in pairs), node.terminal))
+                c = ids[key] = len(rows)
+                paths: Paths = {}
+                for obs, child in pairs:  # a silent pair takes the child's row, built already
+                    _merge(paths, {obs: {child: 1}} if obs else rows[child][1], 1)
+                rows.append((node.terminal + sum(rows[d][0] for obs, d in pairs if not obs), paths))
             cls[nid] = c
-        root = cls.get(self.root)
-        return [] if root is None else quot[: root + 1]  # later classes are not below the root
+        root = cls[self.root]
+        return [] if root is None else rows[: root + 1]  # later classes are not below the root
 
     def _classes(self) -> Iterator[tuple[tuple[tuple[str, str], ...], int]]:
         """Each class's (sequence, count), sorted: the module docstring's prefix walk."""
-        quot = self._quotient()
-        stack = [((), {len(quot) - 1: 1})] if quot else []
+        rows = self._quotient()
+        stack = [((), {len(rows) - 1: 1})] if rows else []
         while stack:
-            prefix, weight = stack.pop()  # class id -> paths that read prefix
-            heap = [-c for c in weight]  # max-heap: a max() per pop is quadratic in the frontier
-            heapify(heap)
-            count = 0
-            nexts: dict[tuple[tuple[str, str], ...], dict[int, int]] = {}
-            while heap:
-                c = -heappop(heap)
-                w = weight[c]  # whole: silent edges into c come from higher ids
-                if quot[c].terminal:
-                    count += w
-                for e in quot[c].edges:
-                    if e.obs:
-                        into = nexts.get(e.obs)
-                        if into is None:
-                            into = nexts[e.obs] = {}
-                    else:
-                        into = weight
-                        if e.child not in weight:
-                            heappush(heap, -e.child)
-                    into[e.child] = into.get(e.child, 0) + w
+            prefix, frontier = stack.pop()  # class id -> paths that read prefix
+            count = sum(w * rows[c][0] for c, w in frontier.items())
+            nexts: Paths = {}
+            for c, w in frontier.items():
+                _merge(nexts, rows[c][1], w)
             if count:
                 yield prefix, count
             stack.extend((prefix + obs, nexts[obs]) for obs in sorted(nexts, reverse=True))
@@ -339,25 +338,25 @@ class TraceSet:
         """Exact count of complete traces per observable sequence, in sorted order."""
         return dict(self._classes())
 
+    def _project(self, key: Callable[[tuple[tuple[str, str], ...]], tuple]) -> dict[tuple, int]:
+        """The partition's counts summed per `key(sequence)`, in sorted order."""
+        out: dict[tuple, int] = {}
+        for seq, cnt in self.partition.items():
+            k = key(seq)
+            out[k] = out.get(k, 0) + cnt
+        return dict(sorted(out.items()))
+
     def signal_partition(self) -> dict[tuple[str, ...], int]:
         """Classes keyed by signal sequence only (region dropped)."""
-        out: dict[tuple[str, ...], int] = {}
-        for seq, cnt in self.partition.items():
-            key = tuple(sig for sig, _ in seq)
-            out[key] = out.get(key, 0) + cnt
-        return dict(sorted(out.items()))
+        return self._project(lambda seq: tuple(sig for sig, _ in seq))
 
     def normalized_partition(self) -> dict[tuple, int]:
         """Classes after projecting observations onto their root regions:
         interleavings of independent regions' outputs collapse together."""
-        out: dict[tuple, int] = {}
-        for seq, cnt in self.partition.items():
-            regions = sorted({region for _, region in seq})
-            key = tuple(
-                (region, tuple(sig for sig, r in seq if r == region)) for region in regions
-            )
-            out[key] = out.get(key, 0) + cnt
-        return dict(sorted(out.items()))
+        return self._project(lambda seq: tuple(
+            (region, tuple(sig for sig, r in seq if r == region))
+            for region in sorted({region for _, region in seq})
+        ))
 
     # -- materialization ------------------------------------------------------
 

@@ -5,10 +5,10 @@ syntax or validation, is a `model.ModelError` with a SourceSpan. parse_model
 also runs model validation, meaning a ParseResult with ok=True always holds
 an executable model.
 
-The lexer is one `finditer` pass of one pattern, `_TOKEN`. Each match
-absorbs a run of blanks (space, tab, CR) and then takes a newline, a `//`
-comment, a mark of `_PUNCT`, or a word (`\\w+`) or else one character that
-is no blank, in that order; blanks at the end of the text match nothing.
+The lexer is one `finditer` pass of `_TOKEN` over text whose line ends
+`_parse` has made LF. Each match absorbs a run of blanks (space, tab), then
+takes a newline, a `//` comment, a mark of `_PUNCT`, or a word (`\\w+`) or
+else one non-blank character, in that order; trailing blanks match nothing.
 Tokens are tuples. A word that starts with a letter or `_` is a name, and a
 keyword is its own token kind. A word that starts with a digit gives its
 leading run of `str.isdigit` characters as an integer, and the rest is
@@ -56,7 +56,7 @@ KEYWORDS = {
 _PUNCT = ("->", ":=", "==", "!=", "{", "}", ";", ":", ",", "|", "/", "[",
           "]", "<", ">", "+", "-", ".")
 
-_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|//[^\n]*|(" + "|".join(map(re.escape, _PUNCT)) + r")|(\w+|[^ \t\r\n]))")
+_TOKEN = re.compile(r"[ \t]*(?:(\n)|//[^\n]*|(" + "|".join(map(re.escape, _PUNCT)) + r")|(\w+|[^ \t\n]))")
 
 
 class Token(NamedTuple):
