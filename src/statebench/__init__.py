@@ -12,7 +12,7 @@ statically before anything runs.
 
 from . import engine, linter, model, parser, scenario, trace
 from .engine import run
-from .explorer import ExploreBounds, TraceSet, check, explore
+from .explorer import ExploreBounds, TraceSet, explore
 from .linter import lint
 from .parser import (
     ParseFailure,
@@ -33,7 +33,6 @@ __all__ = [
     "ParseResult",
     "ScenarioResult",
     "TraceSet",
-    "check",
     "engine",
     "explore",
     "lint",

@@ -39,7 +39,7 @@ from .engine.driver import (
 )
 from .engine.kernel import build_index
 from .explorer import ExploreBounds, explore
-from .linter import APPLICABLE, SLIGHT, lint
+from .linter import APPLICABLE, IMPORTANT, SLIGHT, lint
 from .linter import explain as explain_pattern
 from .parser import ParseFailure, load_model, load_scenario
 from .trace import Trace, first_divergence, from_json as trace_from_json
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument(
         "--severity",
-        choices=("important", APPLICABLE, SLIGHT),
+        choices=(IMPORTANT, APPLICABLE, SLIGHT),
         default=APPLICABLE,
         help="weakest hazard level to report",
     )

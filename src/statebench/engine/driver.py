@@ -120,7 +120,6 @@ def advance_scenario(
 
 @dataclass(frozen=True)
 class StablePoint:
-    record_index: int
     config: str
     pools: str
 
@@ -178,9 +177,9 @@ def run(
         for p, _ in st.active:
             ever_active.add(dotted(p))
         if st.stable():
-            cfg = st.config_text()
-            if not stable_points or stable_points[-1].config != cfg or stable_points[-1].pools != _pools_text(st):
-                stable_points.append(StablePoint(len(records), cfg, _pools_text(st)))
+            point = StablePoint(st.config_text(), _pools_text(st))
+            if not stable_points or stable_points[-1] != point:
+                stable_points.append(point)
         st, idx = advance_scenario(ctx, st, scenario, idx, records)
         steps = K.enabled_steps(ctx, st)
         if not steps:

@@ -56,10 +56,14 @@ A monitor is a triple `(start, step, accept)`: the state at the root,
 `step(state, edge)` giving the state after a followed edge (None rejects the
 edge and every path through it), and `accept(state)`, judged at a terminal
 node. Expectations, the discard count and class witnesses are monitors, and
-a witness or counterexample is always the first accepted path in canonical
-edge order. DAG nodes hold no runtime state, so `eventually-active S` is
-judged from the records: S becomes active exactly on an `EnterState` record
-whose `state` is S's dotted path.
+a witness is the first path its monitor accepts, in canonical edge order.
+For `eventually-active` and `never-discards` the witness and the
+counterexample are the first passing and the first failing path. For
+`emits` they are the first path of the first observable class (in
+`partition` order) on that side, which need not be the first path of that
+side in edge order. DAG nodes hold no runtime state, so
+`eventually-active S` is judged from the records: S becomes active exactly
+on an `EnterState` record whose `state` is S's dotted path.
 
 `partition` runs on the DAG's observational quotient, which merges DAG nodes
 whose complete traces below emit equal multisets of observable sequences. A
@@ -392,8 +396,11 @@ class TraceSet:
 
     def check(self, expectation: S.Expectation) -> ExpectationVerdict:
         """Judges `expectation` by the number of complete traces that meet
-        it. `monitor(True)` accepts those traces and `monitor(False)` the
-        others; the witness and the counterexample are their first paths."""
+        it. `monitor(True)` accepts traces that meet it and `monitor(False)`
+        traces that do not: all of them for `eventually-active` and
+        `never-discards`, and for `emits` only those of the first observable
+        class (in `partition` order) on that side. The witness and the
+        counterexample are their first paths."""
         exp = expectation
         if isinstance(exp, S.Emits):
             hit = {seq: tuple(sig for sig, _ in seq) == exp.signals for seq in self.partition}
@@ -535,11 +542,3 @@ def explore(
     stats.discard_traces = result._count(_flag_monitor(_discards, True))
     return result
 
-
-def check(
-    source: Union[M.MachineModel, ModelIndex],
-    scenario: S.Scenario,
-    bounds: Optional[ExploreBounds] = None,
-) -> list[ExpectationVerdict]:
-    """Explore and judge every expectation of the scenario."""
-    return explore(source, scenario, bounds).check_all()

@@ -22,7 +22,7 @@ explanation and its own hazard weighting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import model as M
 
@@ -80,196 +80,250 @@ ISSUES: dict[str, str] = {
 }
 
 
-# --- the pattern/issue weighting ---------------------------------------------
-
-# Per pattern: which hazards apply and how hard they usually bite.
-TABLE: dict[str, tuple[tuple[str, str], ...]] = {
-    "doInSimpleState": (
-        ("lateStart", IMPORTANT),
-        ("abortEvenBeforeRun", IMPORTANT),
-        ("abortDuringAction", IMPORTANT),
-    ),
-    "doWithCompletionTransition": (
-        ("loseEventWhileInDo", IMPORTANT),
-        ("deferredEventsPriority", SLIGHT),
-        ("multipleEventsDeferred", SLIGHT),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-        ("doActivityForever", IMPORTANT),
-    ),
-    "doWithSelfSignaling": (
-        ("selfSignalReorder", IMPORTANT),
-        ("deferredEventsPriority", SLIGHT),
-        ("multipleEventsDeferred", SLIGHT),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-    ),
-    "doWithInternalTransition": (
-        ("lateStart", APPLICABLE),
-        ("concurrentInternalTransition", IMPORTANT),
-        ("substateExpectsDoPartsFinished", APPLICABLE),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-    ),
-    "doAcceptingEvents": (
-        ("lateStart", APPLICABLE),
-        ("lateAccepterReg", IMPORTANT),
-        ("smCompeteForEvents", IMPORTANT),
-        ("abortEvenBeforeRun", APPLICABLE),
-        ("abortDuringAction", APPLICABLE),
-        ("abortWithoutWaitPoint", IMPORTANT),
-    ),
-    "doAcceptWithDefer": (
-        ("lateStart", APPLICABLE),
-        ("lateAccepterReg", APPLICABLE),
-        ("smCompeteForEvents", APPLICABLE),
-        ("deferredEventsPriority", IMPORTANT),
-        ("multipleEventsDeferred", IMPORTANT),
-        ("deferOverridingTransition", IMPORTANT),
-        ("deferIsConfigSensitive", SLIGHT),
-        ("abortEvenBeforeRun", APPLICABLE),
-        ("abortDuringAction", APPLICABLE),
-        ("abortWithoutWaitPoint", SLIGHT),
-    ),
-    "doInCompositeParent": (
-        ("lateStart", APPLICABLE),
-        ("concurrentInternalTransition", APPLICABLE),
-        ("substateExpectsDoPartsFinished", IMPORTANT),
-        ("concurrentSubstate", IMPORTANT),
-        ("lateAccepterReg", SLIGHT),
-        ("smCompeteForEvents", SLIGHT),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-        ("abortWithoutWaitPoint", SLIGHT),
-        ("completionNeedsRegionInFinalState", IMPORTANT),
-    ),
-    "doInSubstate": (
-        ("lateStart", APPLICABLE),
-        ("lateAccepterReg", SLIGHT),
-        ("smCompeteForEvents", APPLICABLE),
-        ("abortEvenBeforeRun", APPLICABLE),
-        ("abortDuringAction", APPLICABLE),
-        ("abortWithoutWaitPoint", SLIGHT),
-        ("completionNeedsRegionInFinalState", SLIGHT),
-    ),
-    "multipleDoActivities": (
-        ("lateStart", SLIGHT),
-        ("substateExpectsDoPartsFinished", APPLICABLE),
-        ("concurrentSubstate", APPLICABLE),
-        ("lateAccepterReg", APPLICABLE),
-        ("smCompeteForEvents", APPLICABLE),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-        ("abortWithoutWaitPoint", SLIGHT),
-        ("completionNeedsRegionInFinalState", APPLICABLE),
-    ),
-    "compositeDeferAndAccept": (
-        ("lateStart", SLIGHT),
-        ("substateExpectsDoPartsFinished", APPLICABLE),
-        ("concurrentSubstate", APPLICABLE),
-        ("lateAccepterReg", APPLICABLE),
-        ("smCompeteForEvents", SLIGHT),
-        ("deferredEventsPriority", APPLICABLE),
-        ("multipleEventsDeferred", SLIGHT),
-        ("deferOverridingTransition", APPLICABLE),
-        ("deferIsConfigSensitive", IMPORTANT),
-        ("stealDeferredEvents", IMPORTANT),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-        ("abortWithoutWaitPoint", SLIGHT),
-        ("completionNeedsRegionInFinalState", SLIGHT),
-    ),
-    "doInOrthogonalRegions": (
-        ("lateStart", SLIGHT),
-        ("substateExpectsDoPartsFinished", APPLICABLE),
-        ("concurrentSubstate", APPLICABLE),
-        ("lateAccepterReg", APPLICABLE),
-        ("smCompeteForEvents", SLIGHT),
-        ("abortEvenBeforeRun", SLIGHT),
-        ("abortDuringAction", SLIGHT),
-        ("abortWithoutWaitPoint", SLIGHT),
-        ("completionNeedsRegionInFinalState", APPLICABLE),
-    ),
-}
+# --- the pattern catalogue ------------------------------------------------------
 
 
-PATTERN_EXPLANATIONS: dict[str, str] = {
-    "doInSimpleState": (
-        "A simple state runs background work while ordinary triggered "
-        "transitions can leave it at any time. The activity starts only "
-        "after entry finishes and dies the moment a transition fires, so "
-        "there is no point in its body it is guaranteed to reach. Anything "
-        "the rest of the model relies on must not live only inside this "
-        "activity."
+@dataclass(frozen=True)
+class Pattern:
+    """One usage pattern: the states it matches, the hazards that apply there
+    with how hard they usually bite, and longer-form guidance."""
+
+    applies: Callable[[StateAxes], bool]
+    hazards: tuple[tuple[str, str], ...]  # (issue, severity), in report order
+    explanation: str
+
+
+# A state's findings come in this order.
+PATTERNS: dict[str, Pattern] = {
+    "doInSimpleState": Pattern(
+        applies=lambda a: (
+            a.top_level
+            and a.simple
+            and a.has_do
+            and not a.accepts
+            and not (a.self_sends & a.outgoing_triggers)
+            and bool(a.outgoing_triggers)
+            and not a.has_completion_out
+        ),
+        hazards=(
+            ("lateStart", IMPORTANT),
+            ("abortEvenBeforeRun", IMPORTANT),
+            ("abortDuringAction", IMPORTANT),
+        ),
+        explanation=(
+            "A simple state runs background work while ordinary triggered "
+            "transitions can leave it at any time. The activity starts only "
+            "after entry finishes and dies the moment a transition fires, so "
+            "there is no point in its body it is guaranteed to reach. Anything "
+            "the rest of the model relies on must not live only inside this "
+            "activity."
+        ),
     ),
-    "doWithCompletionTransition": (
-        "The state is left via a completion transition when its activity "
-        "finishes. Until then, arriving signals are dispatched against a "
-        "state that has no triggered exits: they are dropped. If the "
-        "activity can fail to terminate, the state never completes. Consider "
-        "deferring the signals the state should survive, and make sure the "
-        "activity provably ends."
+    "doWithCompletionTransition": Pattern(
+        applies=lambda a: a.top_level and a.simple and a.has_do and not a.accepts and a.has_completion_out,
+        hazards=(
+            ("loseEventWhileInDo", IMPORTANT),
+            ("deferredEventsPriority", SLIGHT),
+            ("multipleEventsDeferred", SLIGHT),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+            ("doActivityForever", IMPORTANT),
+        ),
+        explanation=(
+            "The state is left via a completion transition when its activity "
+            "finishes. Until then, arriving signals are dispatched against a "
+            "state that has no triggered exits: they are dropped. If the "
+            "activity can fail to terminate, the state never completes. Consider "
+            "deferring the signals the state should survive, and make sure the "
+            "activity provably ends."
+        ),
     ),
-    "doWithSelfSignaling": (
-        "The activity signals its own machine to drive a transition. The "
-        "self-sent occurrence is delivered through the pool like any other "
-        "event, so it races whatever else the environment injects; the "
-        "transition may fire later than the send, after other events have "
-        "been processed, or find the machine in a different state."
+    "doWithSelfSignaling": Pattern(
+        applies=lambda a: (
+            a.top_level
+            and a.simple
+            and a.has_do
+            and not a.accepts
+            and bool(a.self_sends & a.outgoing_triggers)
+        ),
+        hazards=(
+            ("selfSignalReorder", IMPORTANT),
+            ("deferredEventsPriority", SLIGHT),
+            ("multipleEventsDeferred", SLIGHT),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+        ),
+        explanation=(
+            "The activity signals its own machine to drive a transition. The "
+            "self-sent occurrence is delivered through the pool like any other "
+            "event, so it races whatever else the environment injects; the "
+            "transition may fire later than the send, after other events have "
+            "been processed, or find the machine in a different state."
+        ),
     ),
-    "doWithInternalTransition": (
-        "Internal transitions do not stop the activity, which is usually "
-        "the point, but their effects run interleaved with the activity's "
-        "own actions. If both touch the same variables, every interleaving "
-        "is a possible outcome. Keep the effect and the activity on "
-        "disjoint data or accept the races."
+    "doWithInternalTransition": Pattern(
+        applies=lambda a: a.top_level and a.simple and a.has_do and bool(a.internal_triggers),
+        hazards=(
+            ("lateStart", APPLICABLE),
+            ("concurrentInternalTransition", IMPORTANT),
+            ("substateExpectsDoPartsFinished", APPLICABLE),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+        ),
+        explanation=(
+            "Internal transitions do not stop the activity, which is usually "
+            "the point, but their effects run interleaved with the activity's "
+            "own actions. If both touch the same variables, every interleaving "
+            "is a possible outcome. Keep the effect and the activity on "
+            "disjoint data or accept the races."
+        ),
     ),
-    "doAcceptingEvents": (
-        "The activity waits for signals itself. The wait point only exists "
-        "once the accept action runs, so early occurrences pass it by, and "
-        "any transition triggered by the same signal competes with the "
-        "accept for each occurrence. Aborting the state while the activity "
-        "is parked at the accept silently drops the wait."
+    "doAcceptingEvents": Pattern(
+        applies=lambda a: a.simple and a.has_do and bool(a.accepts) and not (a.defers & a.accepts),
+        hazards=(
+            ("lateStart", APPLICABLE),
+            ("lateAccepterReg", IMPORTANT),
+            ("smCompeteForEvents", IMPORTANT),
+            ("abortEvenBeforeRun", APPLICABLE),
+            ("abortDuringAction", APPLICABLE),
+            ("abortWithoutWaitPoint", IMPORTANT),
+        ),
+        explanation=(
+            "The activity waits for signals itself. The wait point only exists "
+            "once the accept action runs, so early occurrences pass it by, and "
+            "any transition triggered by the same signal competes with the "
+            "accept for each occurrence. Aborting the state while the activity "
+            "is parked at the accept silently drops the wait."
+        ),
     ),
-    "doAcceptWithDefer": (
-        "Deferring the accepted signal closes the early-arrival gap: "
-        "occurrences that would have been lost wait in the deferred pool "
-        "and the accept takes them from there. The cost is priority "
-        "inversion: deferred occurrences outrank fresh ones on release, and "
-        "any transition on the same signal cancels the deferral entirely."
+    "doAcceptWithDefer": Pattern(
+        applies=lambda a: a.simple and a.has_do and bool(a.accepts) and bool(a.defers & a.accepts),
+        hazards=(
+            ("lateStart", APPLICABLE),
+            ("lateAccepterReg", APPLICABLE),
+            ("smCompeteForEvents", APPLICABLE),
+            ("deferredEventsPriority", IMPORTANT),
+            ("multipleEventsDeferred", IMPORTANT),
+            ("deferOverridingTransition", IMPORTANT),
+            ("deferIsConfigSensitive", SLIGHT),
+            ("abortEvenBeforeRun", APPLICABLE),
+            ("abortDuringAction", APPLICABLE),
+            ("abortWithoutWaitPoint", SLIGHT),
+        ),
+        explanation=(
+            "Deferring the accepted signal closes the early-arrival gap: "
+            "occurrences that would have been lost wait in the deferred pool "
+            "and the accept takes them from there. The cost is priority "
+            "inversion: deferred occurrences outrank fresh ones on release, and "
+            "any transition on the same signal cancels the deferral entirely."
+        ),
     ),
-    "doInCompositeParent": (
-        "The composite's activity runs beside everything its regions do. "
-        "Substates cannot assume any part of the parent activity has "
-        "happened, and the composite only completes when the activity "
-        "finishes AND every region reaches a final state; forgetting the "
-        "final state leaves the machine waiting forever."
+    "doInCompositeParent": Pattern(
+        applies=lambda a: a.composite and a.has_do,
+        hazards=(
+            ("lateStart", APPLICABLE),
+            ("concurrentInternalTransition", APPLICABLE),
+            ("substateExpectsDoPartsFinished", IMPORTANT),
+            ("concurrentSubstate", IMPORTANT),
+            ("lateAccepterReg", SLIGHT),
+            ("smCompeteForEvents", SLIGHT),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+            ("abortWithoutWaitPoint", SLIGHT),
+            ("completionNeedsRegionInFinalState", IMPORTANT),
+        ),
+        explanation=(
+            "The composite's activity runs beside everything its regions do. "
+            "Substates cannot assume any part of the parent activity has "
+            "happened, and the composite only completes when the activity "
+            "finishes AND every region reaches a final state; forgetting the "
+            "final state leaves the machine waiting forever."
+        ),
     ),
-    "doInSubstate": (
-        "The activity lives in a nested state, so both the local region and "
-        "every ancestor transition can abort it; the set of events that can "
-        "kill the work is larger than the state's own outgoing transitions "
-        "suggests."
+    "doInSubstate": Pattern(
+        applies=lambda a: a.nested and a.has_do,
+        hazards=(
+            ("lateStart", APPLICABLE),
+            ("lateAccepterReg", SLIGHT),
+            ("smCompeteForEvents", APPLICABLE),
+            ("abortEvenBeforeRun", APPLICABLE),
+            ("abortDuringAction", APPLICABLE),
+            ("abortWithoutWaitPoint", SLIGHT),
+            ("completionNeedsRegionInFinalState", SLIGHT),
+        ),
+        explanation=(
+            "The activity lives in a nested state, so both the local region and "
+            "every ancestor transition can abort it; the set of events that can "
+            "kill the work is larger than the state's own outgoing transitions "
+            "suggests."
+        ),
     ),
-    "multipleDoActivities": (
-        "Parent and descendant activities run concurrently with each other "
-        "and with the regions. Orderings between the two activity bodies "
-        "are completely unconstrained; any shared signal or variable is a "
-        "race. Exits abort inner activities first, parents last."
+    "multipleDoActivities": Pattern(
+        applies=lambda a: a.composite and a.has_do and bool(a.descendant_do),
+        hazards=(
+            ("lateStart", SLIGHT),
+            ("substateExpectsDoPartsFinished", APPLICABLE),
+            ("concurrentSubstate", APPLICABLE),
+            ("lateAccepterReg", APPLICABLE),
+            ("smCompeteForEvents", APPLICABLE),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+            ("abortWithoutWaitPoint", SLIGHT),
+            ("completionNeedsRegionInFinalState", APPLICABLE),
+        ),
+        explanation=(
+            "Parent and descendant activities run concurrently with each other "
+            "and with the regions. Orderings between the two activity bodies "
+            "are completely unconstrained; any shared signal or variable is a "
+            "race. Exits abort inner activities first, parents last."
+        ),
     ),
-    "compositeDeferAndAccept": (
-        "The composite defers a signal its own activity accepts. Whether an "
-        "occurrence is deferred depends on the active substates at dispatch "
-        "time, and once the accept registers it takes deferred occurrences "
-        "immediately, even in the middle of another event's "
-        "run-to-completion step. Behavior is very sensitive to timing; "
-        "model with care."
+    "compositeDeferAndAccept": Pattern(
+        applies=lambda a: a.composite and a.has_do and bool(a.defers & a.accepts),
+        hazards=(
+            ("lateStart", SLIGHT),
+            ("substateExpectsDoPartsFinished", APPLICABLE),
+            ("concurrentSubstate", APPLICABLE),
+            ("lateAccepterReg", APPLICABLE),
+            ("smCompeteForEvents", SLIGHT),
+            ("deferredEventsPriority", APPLICABLE),
+            ("multipleEventsDeferred", SLIGHT),
+            ("deferOverridingTransition", APPLICABLE),
+            ("deferIsConfigSensitive", IMPORTANT),
+            ("stealDeferredEvents", IMPORTANT),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+            ("abortWithoutWaitPoint", SLIGHT),
+            ("completionNeedsRegionInFinalState", SLIGHT),
+        ),
+        explanation=(
+            "The composite defers a signal its own activity accepts. Whether an "
+            "occurrence is deferred depends on the active substates at dispatch "
+            "time, and once the accept registers it takes deferred occurrences "
+            "immediately, even in the middle of another event's "
+            "run-to-completion step. Behavior is very sensitive to timing; "
+            "model with care."
+        ),
     ),
-    "doInOrthogonalRegions": (
-        "The activity runs beside two or more orthogonal regions. Region "
-        "moves and activity actions interleave freely, and completion "
-        "requires all regions to reach final states while the activity also "
-        "finishes. The region count multiplies the schedule space."
+    "doInOrthogonalRegions": Pattern(
+        applies=lambda a: a.has_do and a.region_count >= 2,
+        hazards=(
+            ("lateStart", SLIGHT),
+            ("substateExpectsDoPartsFinished", APPLICABLE),
+            ("concurrentSubstate", APPLICABLE),
+            ("lateAccepterReg", APPLICABLE),
+            ("smCompeteForEvents", SLIGHT),
+            ("abortEvenBeforeRun", SLIGHT),
+            ("abortDuringAction", SLIGHT),
+            ("abortWithoutWaitPoint", SLIGHT),
+            ("completionNeedsRegionInFinalState", APPLICABLE),
+        ),
+        explanation=(
+            "The activity runs beside two or more orthogonal regions. Region "
+            "moves and activity actions interleave freely, and completion "
+            "requires all regions to reach final states while the activity also "
+            "finishes. The region count multiplies the schedule space."
+        ),
     ),
 }
 
@@ -281,8 +335,6 @@ PATTERN_EXPLANATIONS: dict[str, str] = {
 class StateAxes:
     """Everything the pattern predicates need to know about one state."""
 
-    path: str                      # dotted, e.g. main.Active.temperature.Wait1
-    name: str
     nested: bool                   # lives inside another state
     region_count: int
     has_do: bool
@@ -350,8 +402,6 @@ def classify(model: M.MachineModel) -> dict[str, StateAxes]:
                     outgoing.add(t.trigger)
             accepts, self_sends = _activity_signals(model, v.do_activity)
             axes[path] = StateAxes(
-                path=path,
-                name=v.name,
                 nested=nested,
                 region_count=len(v.regions),
                 has_do=v.do_activity is not None,
@@ -371,81 +421,6 @@ def classify(model: M.MachineModel) -> dict[str, StateAxes]:
     for region in model.regions:
         walk_region(region, "", False)
     return axes
-
-
-# --- pattern predicates ---------------------------------------------------
-
-def _p_do_in_simple_state(a: StateAxes) -> bool:
-    return (
-        a.top_level
-        and a.simple
-        and a.has_do
-        and not a.accepts
-        and not (a.self_sends & a.outgoing_triggers)
-        and bool(a.outgoing_triggers)
-        and not a.has_completion_out
-    )
-
-
-def _p_do_with_completion(a: StateAxes) -> bool:
-    return a.top_level and a.simple and a.has_do and not a.accepts and a.has_completion_out
-
-
-def _p_do_with_self_signal(a: StateAxes) -> bool:
-    return (
-        a.top_level
-        and a.simple
-        and a.has_do
-        and not a.accepts
-        and bool(a.self_sends & a.outgoing_triggers)
-    )
-
-
-def _p_do_with_internal(a: StateAxes) -> bool:
-    return a.top_level and a.simple and a.has_do and bool(a.internal_triggers)
-
-
-def _p_do_accepting(a: StateAxes) -> bool:
-    return a.simple and a.has_do and bool(a.accepts) and not (a.defers & a.accepts)
-
-
-def _p_do_accept_defer(a: StateAxes) -> bool:
-    return a.simple and a.has_do and bool(a.accepts) and bool(a.defers & a.accepts)
-
-
-def _p_do_in_composite(a: StateAxes) -> bool:
-    return a.composite and a.has_do
-
-
-def _p_do_in_substate(a: StateAxes) -> bool:
-    return a.nested and a.has_do
-
-
-def _p_multiple_dos(a: StateAxes) -> bool:
-    return a.composite and a.has_do and bool(a.descendant_do)
-
-
-def _p_composite_defer_accept(a: StateAxes) -> bool:
-    return a.composite and a.has_do and bool(a.defers & a.accepts)
-
-
-def _p_do_orthogonal(a: StateAxes) -> bool:
-    return a.has_do and a.region_count >= 2
-
-
-PATTERNS: tuple[tuple[str, "object"], ...] = (
-    ("doInSimpleState", _p_do_in_simple_state),
-    ("doWithCompletionTransition", _p_do_with_completion),
-    ("doWithSelfSignaling", _p_do_with_self_signal),
-    ("doWithInternalTransition", _p_do_with_internal),
-    ("doAcceptingEvents", _p_do_accepting),
-    ("doAcceptWithDefer", _p_do_accept_defer),
-    ("doInCompositeParent", _p_do_in_composite),
-    ("doInSubstate", _p_do_in_substate),
-    ("multipleDoActivities", _p_multiple_dos),
-    ("compositeDeferAndAccept", _p_composite_defer_accept),
-    ("doInOrthogonalRegions", _p_do_orthogonal),
-)
 
 
 # --- findings ----------------------------------------------------------------
@@ -481,11 +456,11 @@ def lint(model: M.MachineModel, severity: str = APPLICABLE) -> list[Finding]:
     floor = _RANK[severity]
     findings = []
     for path, a in sorted(classify(model).items()):
-        for name, predicate in PATTERNS:
-            if not predicate(a):
+        for name, pattern in PATTERNS.items():
+            if not pattern.applies(a):
                 continue
             issues = tuple(
-                Issue(iname, sev) for iname, sev in TABLE[name] if _RANK[sev] >= floor
+                Issue(iname, sev) for iname, sev in pattern.hazards if _RANK[sev] >= floor
             )
             if issues:
                 findings.append(Finding(path, name, issues))
@@ -494,4 +469,4 @@ def lint(model: M.MachineModel, severity: str = APPLICABLE) -> list[Finding]:
 
 def explain(pattern: str) -> str:
     """Longer-form guidance for one pattern name."""
-    return PATTERN_EXPLANATIONS[pattern]
+    return PATTERNS[pattern].explanation

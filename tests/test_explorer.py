@@ -22,7 +22,7 @@ from flat_oracle import gen_flat_machine, gen_flat_scenario
 from hier_gen import features, gen_hier_machine, gen_hier_scenario, seeds_with
 from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
 from statebench.engine.state import RuntimeState
-from statebench.explorer import ExploreBounds, check, explore
+from statebench.explorer import ExploreBounds, explore
 from statebench.parser import parse_model, parse_scenario
 from statebench.scenario import Emits, EventuallyActive, NeverDiscards
 from statebench.trace import Trace
@@ -388,7 +388,7 @@ def test_witness_traces_replay_as_scripts():
 
 def test_verdict_all():
     m = machine("accept-defer")
-    verdicts = check(m, scenario_for("accept-defer", m))
+    verdicts = explore(m, scenario_for("accept-defer", m)).check_all()
     assert [v.verdict for v in verdicts] == ["all", "all"]
     for v in verdicts:
         assert v.ok and v.witness is not None and v.counterexample is None
@@ -399,7 +399,7 @@ def test_verdict_some_with_both_sides():
     scn = parse_scenario(
         "scenario s { inject e1; expect emits progress; }", m
     ).scenario
-    [v] = check(m, scn)
+    [v] = explore(m, scn).check_all()
     assert v.verdict == "some"
     assert v.witness.obs_signals() == ("progress",)
     assert v.counterexample.obs_signals() == ()
@@ -410,7 +410,7 @@ def test_verdict_none_for_unreachable_state():
     scn = parse_scenario(
         "scenario s { expect eventually-active S2; }", m
     ).scenario
-    [v] = check(m, scn)
+    [v] = explore(m, scn).check_all()
     assert v.verdict == "none"
     assert v.witness is None
     assert v.counterexample is not None
@@ -421,7 +421,7 @@ def test_never_discards_counterexample_is_complete_trace():
     scn = parse_scenario(
         "scenario s { inject progress; expect never-discards progress; }", m
     ).scenario
-    [v] = check(m, scn)
+    [v] = explore(m, scn).check_all()
     assert v.verdict == "none"
     counter = v.counterexample
     assert counter is not None
@@ -433,7 +433,7 @@ def test_eventually_active_all():
     scn = parse_scenario(
         "scenario s { inject e1; expect eventually-active S2; }", m
     ).scenario
-    [v] = check(m, scn)
+    [v] = explore(m, scn).check_all()
     assert v.verdict == "all"
 
 
@@ -443,12 +443,12 @@ def test_dotted_state_must_name_a_vertex():
     base = scenario_for("composite-defer-steal", m)
     ctx = build_index(m)
     scn = replace(base, expectations=(EventuallyActive("main.S1.r.S3"),))
-    assert [v.verdict for v in check(ctx, scn)] == ["all"]
+    assert [v.verdict for v in explore(ctx, scn).check_all()] == ["all"]
     assert [o.ok for o in evaluate_run(ctx, scn, run(ctx, scn))] == [True]
     for text in ("nowhere.S3", "S1.r.S3", "main.S1.S3", "main.S1.r"):
         scn = replace(base, expectations=(EventuallyActive(text),))
         with pytest.raises(KeyError):
-            check(ctx, scn)
+            explore(ctx, scn).check_all()
         with pytest.raises(KeyError):
             evaluate_run(ctx, scn, run(ctx, scn))
 

@@ -22,28 +22,37 @@ a character outside the grammar, an integer too long for `int()` and a
 comment. The file holds, per fixture file, the variant count, the count with
 errors and a digest of every diagnostic's text and span length.
 
-`python tests/test_golden.py` rewrites both files from the code at hand.
+`lint.json` pins `statebench lint` on every fixture machine at each severity:
+the finding count and digests of the `--explain` text and of the
+`--format structured` document, so every pattern explanation and issue
+description is pinned byte for byte.
+
+`python tests/test_golden.py` rewrites the three files from the code at hand.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 
 import pytest
 
 from conftest import FIXTURE_PAIRS, FIXTURES
-from statebench.cli import expectation_text
+from statebench.cli import expectation_text, main
 from statebench.engine.driver import FirstStrategy, RandomStrategy, ScriptStrategy, run
 from statebench.explorer import ExploreBounds, explore
+from statebench.linter import APPLICABLE, IMPORTANT, SLIGHT, lint
 from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
 from statebench.trace import from_json
 
 GOLDEN = sorted((FIXTURES / "golden").glob("*.json"))
 EXPLORATIONS = FIXTURES / "explorations.json"
 DIAGNOSTICS = FIXTURES / "diagnostics.json"
+LINTS = FIXTURES / "lint.json"
 BOUNDS = {
     "default": ExploreBounds(),
     "max_micro_steps=10": ExploreBounds(max_micro_steps=10),
@@ -157,8 +166,35 @@ def test_diagnostics_match_golden(name):
     assert diagnostics(name) == golden[name]
 
 
+LINTED = sorted(p.name for p in FIXTURES.glob("*.psm"))
+
+
+def lint_outputs(name) -> dict:
+    """Per severity, [findings, digest of the `--explain` text, digest of the
+    structured document] of `statebench lint` on one fixture machine."""
+    path = str(FIXTURES / name)
+    found = {}
+    for severity in (IMPORTANT, APPLICABLE, SLIGHT):
+        digests = []
+        for flags in (["--explain"], ["--format", "structured"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["lint", path, "--severity", severity, *flags])
+            digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+        found[severity] = [len(lint(load_model(path), severity)), *digests]
+    return found
+
+
+@pytest.mark.parametrize("name", LINTED)
+def test_lint_matches_golden(name):
+    golden = json.loads(LINTS.read_text(encoding="utf-8"))
+    assert lint_outputs(name) == golden[name]
+
+
 if __name__ == "__main__":
     found = {f"{model_name}.{scn_name}": explorations(model_name, scn_name) for model_name, scn_name in FIXTURE_PAIRS}
     EXPLORATIONS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     found = {name: diagnostics(name) for name in DIAGNOSED}
     DIAGNOSTICS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    found = {name: lint_outputs(name) for name in LINTED}
+    LINTS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")

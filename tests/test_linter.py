@@ -73,8 +73,8 @@ def test_focal_pattern_matches(fixture, state, pattern):
 
 
 def test_pattern_names_cover_the_taxonomy():
-    assert {p for _, _, p in FOCAL} == set(L.TABLE)
-    assert len(L.TABLE) == 11
+    assert {p for _, _, p in FOCAL} == set(L.PATTERNS)
+    assert len(L.PATTERNS) == 11
 
 
 def test_states_without_do_never_flagged(measurement):
@@ -89,7 +89,7 @@ def test_states_without_do_never_flagged(measurement):
 
 def table_issues(pattern, floor):
     rank = L._RANK
-    return [n for n, sev in L.TABLE[pattern] if rank[sev] >= rank[floor]]
+    return [n for n, sev in L.PATTERNS[pattern].hazards if rank[sev] >= rank[floor]]
 
 
 @pytest.mark.parametrize("fixture,state,pattern", FOCAL)
@@ -158,7 +158,7 @@ def test_findings_sorted_and_printable(measurement):
 
 
 def test_every_pattern_has_explanation():
-    for pattern in L.TABLE:
+    for pattern in L.PATTERNS:
         text = explain(pattern)
         assert len(text) > 80
 
@@ -169,13 +169,13 @@ def test_explain_unknown_pattern():
 
 
 def test_table_issue_names_are_described():
-    for pattern, rows in L.TABLE.items():
-        for name, sev in rows:
+    for pattern, p in L.PATTERNS.items():
+        for name, sev in p.hazards:
             assert name in L.ISSUES, f"{pattern} references unknown issue {name}"
             assert sev in (L.IMPORTANT, L.APPLICABLE, L.SLIGHT)
 
 
 def test_issue_descriptions_complete():
     assert len(L.ISSUES) == 18
-    used = {name for rows in L.TABLE.values() for name, _ in rows}
+    used = {name for p in L.PATTERNS.values() for name, _ in p.hazards}
     assert used == set(L.ISSUES)
