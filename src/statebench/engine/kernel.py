@@ -591,9 +591,13 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
     return st
 
 
-def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeState, Record]:
+def apply(
+    ctx: ModelIndex, st: RuntimeState, step: MicroStep, made: Optional[dict[tuple, Record]] = None
+) -> tuple[RuntimeState, Record]:
     """Applies one micro-step, returning the successor state and the trace
     record. A step is applicable iff `enabled_steps(ctx, st)` lists it.
+    `made` is the caller's table of the records rendered so far (see
+    `_render`); without one the call gets a fresh table.
 
     A step that `enabled_steps` built for this very `st` acts on the operand
     it carries. Any other step (built by hand, or enabled in another state)
@@ -732,28 +736,38 @@ def apply(ctx: ModelIndex, st: RuntimeState, step: MicroStep) -> tuple[RuntimeSt
             extra += [("thread", th.label()), ("activity", v.do_activity)]
             st = _advance_leg(ctx, st, leg)
 
-    return _render(ctx, pre, st, step, obs, extra)
+    return _render(ctx, pre, st, step, obs, extra, {} if made is None else made)
 
 
 def _render(
-    ctx: ModelIndex, pre: RuntimeState, st: RuntimeState, step: MicroStep, obs, extra
+    ctx: ModelIndex, pre: RuntimeState, st: RuntimeState, step: MicroStep, obs, extra, made: dict[tuple, Record]
 ) -> tuple[RuntimeState, Record]:
     """Settles completions in the successor `st` of `pre` and renders the
-    record of `step`, shared by `apply` and `inject`."""
+    record of `step`, shared by `apply` and `inject`. A record is a function
+    of its inputs (kind, thread and payload of the step, the extra payload
+    items, pool digest, rtc and obs), so `made` maps those inputs to the
+    record built from them, and equal records are built once per table."""
     st = _refresh_completions(ctx, st)
     # an "sm" choice opens a run-to-completion step even when all its legs
     # are empty; otherwise a step is inside one while some leg is alive
-    opened = step.kind is StepKind.CHOOSE_ACCEPTER and step.operand[0] == "sm"
-    in_rtc = opened or any(isinstance(t, LegThread) for t in pre.threads + st.threads)
-    record = Record(
-        thread=step.thread,
-        kind=step.kind.value,
-        payload=_payload(*step.payload, *extra),
-        pool=_pool_digest(st),
-        rtc=st.rtc_index if in_rtc else None,
-        obs=obs,
-        step=step.key(),
+    in_rtc = (
+        (step.kind is StepKind.CHOOSE_ACCEPTER and step.operand[0] == "sm")
+        or LegThread in map(type, pre.threads)
+        or LegThread in map(type, st.threads)
     )
+    pool, rtc = _pool_digest(st), st.rtc_index if in_rtc else None
+    key = (step.kind, step.thread, step.payload, *extra, pool, rtc, obs)
+    record = made.get(key)
+    if record is None:
+        record = made[key] = Record(
+            thread=step.thread,
+            kind=step.kind._value_,  # `value` is a Python-level property
+            payload=_payload(*step.payload, *extra),
+            pool=pool,
+            rtc=rtc,
+            obs=obs,
+            step=step.key(),
+        )
     return st, record
 
 
@@ -780,4 +794,4 @@ def inject(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[RuntimeState
     occ = SignalOccurrence(signal, st.next_seq)
     post = _evolve(st, queue_regular=st.queue_regular + (occ,), next_seq=st.next_seq + 1)
     step = MicroStep(StepKind.INJECT, "env", (("signal", signal),))
-    return _render(ctx, st, post, step, None, [("occ", occ.brief())])
+    return _render(ctx, st, post, step, None, [("occ", occ.brief())], {})

@@ -21,7 +21,10 @@ repeat across the DAG far more than nodes do, so each walk keeps one
 `(records, obs)` pair per distinct record list, which every edge with that
 list shares, and one tuple per distinct obs. The sharing is exact (equal
 values are interchangeable), and its tables are local to the walk, so no
-cache outlives the result.
+cache outlives the result. Each distinct step record is built once per walk:
+`explore` hands `K.apply` a table, local to the walk as well, of the records
+rendered so far by their inputs, so equal step records are one object
+(injections, which `inject` renders, are not in it).
 
 A node's memo key is a flat tuple of small ints: one id per compared
 `RuntimeState` field, then the scenario index and the depth. The ids come
@@ -38,7 +41,7 @@ whole states would give. Hash compaction and bitstate hashing would store
 less, but let two different states share a key now and then, and so lose the
 exact counts. An unpruned walk shares nothing and builds no key.
 
-Every query runs on three generic pieces, all iterative, so no depth of the
+Every query runs on four generic pieces, all iterative, so no depth of the
 DAG can exhaust the interpreter's stack:
 
 - the builder, `explore`: a depth-first walk on an explicit stack that
@@ -50,20 +53,20 @@ DAG can exhaust the interpreter's stack:
 - `TraceSet._accepted(monitor)`: the complete record paths a monitor
   accepts, in canonical edge order (each node's edges in the order the
   kernel enabled them). A (node, state) pair that led to no accepted path is
-  never entered again.
+  never entered again;
+- `TraceSet._class_witness(seq)`: the first complete path, in canonical edge
+  order, whose observables are exactly `seq`, searched over the DAG by
+  (quotient class, position in `seq`); see below.
 
 A monitor is a triple `(start, step, accept)`: the state at the root,
 `step(state, edge)` giving the state after a followed edge (None rejects the
 edge and every path through it), and `accept(state)`, judged at a terminal
-node. Expectations, the discard count and class witnesses are monitors, and
-a witness is the first path its monitor accepts, in canonical edge order.
-For `eventually-active` and `never-discards` the witness and the
-counterexample are the first passing and the first failing path. For
-`emits` they are the first path of the first observable class (in
-`partition` order) on that side, which need not be the first path of that
-side in edge order. DAG nodes hold no runtime state, so
-`eventually-active S` is judged from the records: S becomes active exactly
-on an `EnterState` record whose `state` is S's dotted path.
+node. `total`, the discard count and the `eventually-active` and
+`never-discards` expectations are monitors; for the two expectations the
+witness and the counterexample are the first passing and the first failing
+path. DAG nodes hold no runtime state, so `eventually-active S` is judged
+from the records: S becomes active exactly on an `EnterState` record whose
+`state` is S's dotted path.
 
 `partition` runs on the DAG's observational quotient, which merges DAG nodes
 whose complete traces below emit equal multisets of observable sequences. A
@@ -85,6 +88,20 @@ count and, grouped by obs, the next frontiers. An edge emits at most one
 observable, so pushing the groups in reverse order yields the prefixes in
 sorted order. Every query that reads records (counts, flags, witnesses) runs
 on the DAG.
+
+Class witnesses answer one question for three callers: a capped `traces`,
+`find_trace`, and the `emits` expectation, whose witness and counterexample
+are the first path of the first observable class (in `partition` order) on
+that side; that need not be the first path of that side in edge order.
+`_class_witness(seq)` follows only edges whose obs is empty or the next entry
+of `seq` (an edge emits at most one), and only into children that have a
+quotient class: the others have no complete trace below. A dead end is a
+fact about a (class, position) pair, not only about the node it was found
+at: the nodes of one class have equal multisets of observable sequences
+below, so whether some complete path below reads the rest of `seq` from
+that position is the same for all of them. The search records each
+(class, position) pair it left without a path and enters it from no node
+again, and stops at the first terminal node it reaches at the end of `seq`.
 
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
@@ -178,17 +195,6 @@ def _flag_monitor(hit: Callable[[Edge], bool], want: bool) -> Monitor:
     return False, (lambda s, e: s or hit(e)), (lambda s: s == want)
 
 
-def _obs_monitor(seq: tuple[tuple[str, str], ...]) -> Monitor:
-    """How much of the observable sequence `seq` the path has emitted;
-    accepts the paths that emit exactly `seq`."""
-
-    def step(pos: int, e: Edge) -> Optional[int]:
-        end = pos + len(e.obs)
-        return end if seq[pos:end] == e.obs else None
-
-    return 0, step, lambda pos: pos == len(seq)
-
-
 def _discards(e: Edge, prefix: str = "") -> bool:
     """Whether the edge discards an occurrence whose brief starts with `prefix`."""
     return any(
@@ -207,8 +213,9 @@ class TraceSet:
     of the toolchain needs (counts, classes, witnesses, expectation checks).
 
     `traces` materializes every complete trace when the exact total fits the
-    bound, so partition counts sum to len(traces); otherwise it holds one
-    witness per observable class and `truncated_traces` is set."""
+    bound, so partition counts sum to len(traces); otherwise
+    `truncated_traces` is set and it holds the class witnesses of the first
+    `max_traces` observable classes, in `partition` order."""
 
     def __init__(
         self,
@@ -284,9 +291,43 @@ class TraceSet:
                 elif stack:
                     stack[-1][4] = True
 
-    def _first(self, monitor: Monitor) -> Optional[Trace]:
-        found = next(self._accepted(monitor), None)
-        return self._mk_trace(found) if found is not None else None
+    def _class_witness(self, seq: tuple[tuple[str, str], ...]) -> Trace:
+        """The first complete path, in canonical edge order, whose
+        observables are exactly `seq`, a key of `partition`; dead ends are
+        kept per (class, position), as the module docstring explains."""
+        nodes, cls, n = self.nodes, self._class_of, len(seq)
+        path = list(self.root_records)
+        if nodes[self.root].terminal and not seq:
+            return self._mk_trace(tuple(path))
+        dead: set[tuple[int, int]] = set()
+        # frame: class, position in seq, edge iterator, path length
+        stack = [(cls[self.root], 0, iter(nodes[self.root].edges), len(path))]
+        while stack:
+            c, pos, edges, mark = stack[-1]
+            for e in edges:
+                d = cls[e.child]
+                if d is None:
+                    continue
+                if e.obs:
+                    if pos == n or e.obs[0] != seq[pos]:
+                        continue
+                    at = pos + 1
+                else:
+                    at = pos
+                if (d, at) in dead:
+                    continue
+                del path[mark:]
+                path.extend(e.records)
+                child = nodes[e.child]
+                if not child.terminal:
+                    stack.append((d, at, iter(child.edges), len(path)))
+                    break
+                if at == n:
+                    return self._mk_trace(tuple(path))
+            else:
+                stack.pop()
+                dead.add((c, pos))
+        raise ValueError(f"no complete trace emits {seq}")
 
     # -- counting ----------------------------------------------------------
 
@@ -300,7 +341,8 @@ class TraceSet:
         """The DAG's observational quotient with its silent edges removed (see
         the module docstring): one row `(ends, {obs: {class: paths}})` per
         class, numbered children first with the root's class last. Empty when
-        no complete trace exists."""
+        no complete trace exists. Keeps the DAG node -> class list, which the
+        class witness search reads, as `_class_of`."""
         cls: list[Optional[int]] = [None] * len(self.nodes)  # DAG node id -> class id
         ids: dict[tuple, int] = {}  # class key -> class id
         rows: list[tuple[int, Paths]] = []
@@ -320,6 +362,7 @@ class TraceSet:
                     _merge(paths, {obs: {child: 1}} if obs else rows[child][1], 1)
                 rows.append((node.terminal + sum(rows[d][0] for obs, d in pairs if not obs), paths))
             cls[nid] = c
+        self._class_of = cls
         root = cls[self.root]
         return [] if root is None else rows[: root + 1]  # later classes are not below the root
 
@@ -380,58 +423,60 @@ class TraceSet:
     def traces(self) -> tuple[Trace, ...]:
         if not self.truncated_traces:
             return tuple(self._mk_trace(p) for p in self._accepted(_EVERY))
-        # every class has a complete trace, so each search finds one
-        seqs = islice(self.partition, self.bounds.max_traces)
-        return tuple(self._first(_obs_monitor(seq)) for seq in seqs)
+        return tuple(self._class_witness(seq) for seq in islice(self.partition, self.bounds.max_traces))
 
     def find_trace(self, signals: tuple[str, ...]) -> Optional[Trace]:
         """Witness whose env-send signal sequence equals `signals` exactly
         (emitting region ignored)."""
         for seq in self.partition:
             if tuple(sig for sig, _ in seq) == signals:
-                return self._first(_obs_monitor(seq))
+                return self._class_witness(seq)
         return None
 
     # -- expectation checking ---------------------------------------------
 
     def check(self, expectation: S.Expectation) -> ExpectationVerdict:
         """Judges `expectation` by the number of complete traces that meet
-        it. `monitor(True)` accepts traces that meet it and `monitor(False)`
-        traces that do not: all of them for `eventually-active` and
-        `never-discards`, and for `emits` only those of the first observable
-        class (in `partition` order) on that side. The witness and the
-        counterexample are their first paths."""
+        it. The witness is the first path, in canonical edge order, that
+        meets it, and the counterexample the first that does not: among all
+        paths for `eventually-active` and `never-discards`, and for `emits`
+        among those of the first observable class (in `partition` order) on
+        that side."""
         exp = expectation
         if isinstance(exp, S.Emits):
             hit = {seq: tuple(sig for sig, _ in seq) == exp.signals for seq in self.partition}
             good = sum(cnt for seq, cnt in self.partition.items() if hit[seq])
 
-            def monitor(ok: bool) -> Monitor:  # the first observable class on that side
-                return _obs_monitor(next(seq for seq in hit if hit[seq] == ok))
+            def first(ok: bool) -> Trace:  # the first observable class on that side
+                return self._class_witness(next(seq for seq in hit if hit[seq] == ok))
 
-        elif isinstance(exp, S.EventuallyActive):
-            target = dotted(self.ctx.model.state_refs[exp.state])
-
-            def monitor(ok: bool) -> Monitor:  # at the root nothing is active yet
-                return _flag_monitor(lambda e: _enters(e, target), ok)
-
-            good = self._count(monitor(True))
         else:
-            assert isinstance(exp, S.NeverDiscards)
-            prefix = exp.signal + "#"
+            if isinstance(exp, S.EventuallyActive):
+                target = dotted(self.ctx.model.state_refs[exp.state])
 
-            def monitor(ok: bool) -> Monitor:
-                return _flag_monitor(lambda e: _discards(e, prefix), not ok)
+                def monitor(ok: bool) -> Monitor:  # at the root nothing is active yet
+                    return _flag_monitor(lambda e: _enters(e, target), ok)
+
+            else:
+                assert isinstance(exp, S.NeverDiscards)
+                prefix = exp.signal + "#"
+
+                def monitor(ok: bool) -> Monitor:
+                    return _flag_monitor(lambda e: _discards(e, prefix), not ok)
 
             good = self._count(monitor(True))
+
+            def first(ok: bool) -> Trace:
+                return self._mk_trace(next(self._accepted(monitor(ok))))
+
         if good == 0:
             verdict = "none"
         elif good == self.total and not self.stats.truncated:
             verdict = "all"
         else:
             verdict = "some"
-        witness = self._first(monitor(True)) if good else None
-        counter = self._first(monitor(False)) if good < self.total else None
+        witness = first(True) if good else None
+        counter = first(False) if good < self.total else None
         return ExpectationVerdict(exp, verdict, witness, counter)
 
     def check_all(self) -> list[ExpectationVerdict]:
@@ -464,6 +509,7 @@ def explore(
     # distinct record list, and one shared tuple per distinct obs
     labels: dict[tuple[Record, ...], tuple[tuple[Record, ...], tuple[tuple[str, str], ...]]] = {}
     observed: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
+    made: dict[tuple, Record] = {}  # the records of this walk, by their inputs (see `K._render`)
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
     # frames of the nodes being expanded: memo key, state components, state,
@@ -520,7 +566,7 @@ def explore(
             stack.pop()
             finish(key, Node(tuple(edges)), label)
             continue
-        st2, rec = K.apply(ctx, st, step)
+        st2, rec = K.apply(ctx, st, step, made)
         recs = [rec]
         st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
         records = tuple(recs)

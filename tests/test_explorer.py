@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import machine, scenario_for
+from conftest import FIXTURE_PAIRS, machine, scenario_for
 from flat_oracle import gen_flat_machine, gen_flat_scenario
 from hier_gen import features, gen_hier_machine, gen_hier_scenario, seeds_with
 from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
@@ -349,6 +349,62 @@ def test_find_trace_by_signal_sequence():
     assert any(r.kind == "ConsumeDeferred" or r.kind == "ChooseAccepter"
                for r in t.records)
     assert ts.find_trace(("nothing-like-this",)) is None
+
+
+def monitor_witness(ts, seq):
+    """The reference class witness: the first complete path, in canonical
+    edge order, that emits exactly `seq`, searched with the emitted prefix
+    length as the state and dead ends kept per (DAG node, position)."""
+    dead = set()
+
+    def search(nid, pos, path):
+        node = ts.nodes[nid]
+        if node.terminal:
+            return path if pos == len(seq) else None
+        if (nid, pos) in dead:
+            return None
+        for e in node.edges:
+            end = pos + len(e.obs)
+            if seq[pos:end] == e.obs:
+                found = search(e.child, end, path + e.records)
+                if found is not None:
+                    return found
+        dead.add((nid, pos))
+        return None
+
+    return search(ts.root, 0, ts.root_records)
+
+
+WITNESS_BOUNDS = {
+    "default": ExploreBounds(),
+    "steps10": ExploreBounds(max_micro_steps=10),
+    "steps25": ExploreBounds(max_micro_steps=25),
+    "steps31": ExploreBounds(max_micro_steps=31),
+    "pool1": ExploreBounds(max_pool=1),
+}
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(("fixture", pair, b), id=f"{pair[1]}-{b}") for pair in FIXTURE_PAIRS for b in WITNESS_BOUNDS),
+    *(pytest.param(("hier", seed, b), id=f"hier{seed}-{b}")
+      for seed in range(20) for b in ("default", "steps25", "pool1")),
+    pytest.param(("s2", None, "default"), id="s2"),
+])
+def test_class_witnesses_match_the_monitor_search(case, request):
+    # the class-keyed search finds, for every class, the path the search per
+    # DAG node finds: a dead end holds for every node of its class
+    kind, arg, bound = case
+    if kind == "fixture":
+        m = machine(arg[0])
+        scn = scenario_for(arg[1], m)
+    elif kind == "hier":
+        m = gen_hier_machine(arg)
+        scn = gen_hier_scenario(arg, m)
+    else:
+        m, scn = request.getfixturevalue("s2")
+    ts = explore(m, scn, bounds=WITNESS_BOUNDS[bound])
+    for seq in ts.partition:
+        assert ts._class_witness(seq).records == monitor_witness(ts, seq), seq
 
 
 def test_wait_point_drains_deferred_backlog_before_fresh_events():

@@ -4,7 +4,8 @@
 the dataclasses' `__init__`, each `MicroStep` renders its key once, and a
 state keeps its pool digest next to the pools it was taken from. These
 tests wrap `apply` and `inject` through the pruned walks of every fixture
-scenario and check each call against values rebuilt from scratch here.
+scenario and check each call against values rebuilt from scratch here, and
+check that a walk builds each distinct record once.
 They also check that each doActivity thread owns its wait points and its
 start event consistently.
 """
@@ -99,9 +100,9 @@ def checked(monkeypatch):
         counts["steps"] += len(steps)
         return steps
 
-    def successor(call, ctx, st, arg):
+    def successor(call, ctx, st, arg, *made):
         key, digest = st.key(), hash(st)
-        post, record = call(ctx, st, arg)
+        post, record = call(ctx, st, arg, *made)
         assert st.key() == key and hash(st) == digest
         for value in parts(post):
             check_value(value)
@@ -109,8 +110,8 @@ def checked(monkeypatch):
         counts["successors"] += 1
         return post, record
 
-    def checking_apply(ctx, st, step):
-        post, record = successor(apply, ctx, st, step)
+    def checking_apply(ctx, st, step, *made):
+        post, record = successor(apply, ctx, st, step, *made)
         assert record.step == step.key() == fresh_key(step)
         counts["wait points"] += check_threads(ctx, st, step, post)
         return post, record
@@ -128,6 +129,36 @@ def test_updates_keep_value_semantics(model_name, scn_name, checked):
     assert checked["steps"] and checked["successors"] >= ts.stats.edges
     accepts = any(n.kind == "accept" for prog in ts.ctx.programs.values() for n in prog.nodes)
     assert checked["wait points"] or not accepts
+
+
+def walk_records(monkeypatch, m, scn) -> list:
+    """Every record `apply` returns in one walk of `scn`, in call order."""
+    got, apply = [], kernel.apply
+
+    def recording(*args):
+        post, record = apply(*args)
+        got.append(record)
+        return post, record
+
+    monkeypatch.setattr(kernel, "apply", recording)
+    explore(m, scn)
+    monkeypatch.setattr(kernel, "apply", apply)
+    return got
+
+
+@pytest.mark.parametrize("model_name,scn_name", FIXTURE_PAIRS)
+def test_a_walk_builds_each_record_once(model_name, scn_name, monkeypatch):
+    m = load_model(str(FIXTURES / f"{model_name}.psm"))
+    scn = load_scenario(str(FIXTURES / f"{scn_name}.scn"), m)
+    first = walk_records(monkeypatch, m, scn)
+    # within one walk, equal records are one object, built as `__init__` builds it
+    assert len({id(r) for r in first}) == len(set(first))
+    for record in set(first):
+        check_value(record)
+    # the table dies with the walk: the next walk builds its records anew
+    again = walk_records(monkeypatch, m, scn)
+    assert again == first
+    assert not {id(r) for r in first} & {id(r) for r in again}
 
 
 # a doActivity parked at three accept nodes at once, one of them before a
