@@ -159,7 +159,7 @@ def cmd_run(args) -> int:
 def cmd_explore(args) -> int:
     model, scenario = _load(args)
     bounds = ExploreBounds(max_micro_steps=args.max_steps, max_pool=args.max_pool)
-    ts = explore(model, scenario, bounds, prune=not args.no_prune)
+    ts = explore(model, scenario, bounds)
     verdicts, signals = ts.check_all(), ts.signal_partition()
 
     if args.format == "structured":
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("scenario")
     bounds = ExploreBounds()
-    p.add_argument("--no-prune", action="store_true", help="disable state memoization")
     p.add_argument("--classes", action="store_true", help="list every signal class")
     p.add_argument("--format", choices=("text", "structured"), default="text")
     _add_budget_flags(p, bounds.max_micro_steps, bounds.max_pool)

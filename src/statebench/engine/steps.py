@@ -52,7 +52,7 @@ class MicroStep:
     _key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        parts = [self.kind.value, self.thread]
+        parts = [self.kind._value_, self.thread]  # a plain attribute; `value` is a property
         parts.extend(f"{k}={v}" for k, v in self.payload)
         object.__setattr__(self, "_key", "|".join(parts))
 

@@ -39,7 +39,7 @@ The key is exact: ids are a function of `==` classes, so two keys are equal
 exactly when the states' `key()` tuples are, and the DAG is the one a key of
 whole states would give. Hash compaction and bitstate hashing would store
 less, but let two different states share a key now and then, and so lose the
-exact counts. An unpruned walk shares nothing and builds no key.
+exact counts.
 
 Every query runs on four generic pieces, all iterative, so no depth of the
 DAG can exhaust the interpreter's stack:
@@ -187,6 +187,12 @@ def _merge(into: Paths, paths: Paths, w: int) -> None:
         acc = into.setdefault(obs, {})
         for c, m in dests.items():
             acc[c] = acc.get(c, 0) + w * m
+
+
+def _pairs(node: Node, cls: list[Optional[int]]) -> list[tuple[tuple[tuple[str, str], ...], int]]:
+    """The sorted (obs, child class) pairs of the node's edges into children
+    that have a quotient class."""
+    return sorted((e.obs, cls[e.child]) for e in node.edges if cls[e.child] is not None)
 
 
 def _flag_monitor(hit: Callable[[Edge], bool], want: bool) -> Monitor:
@@ -337,32 +343,35 @@ class TraceSet:
 
     # -- observable classes --------------------------------------------------
 
+    @cached_property
+    def _class_of(self) -> list[Optional[int]]:
+        """DAG node id -> quotient class id (None: no complete trace below),
+        class ids numbered as first met, children first; see the module docstring."""
+        cls: list[Optional[int]] = [None] * len(self.nodes)
+        ids: dict[tuple, int] = {}  # class key -> class id
+        for nid, node in enumerate(self.nodes):
+            pairs = _pairs(node, cls)
+            if len(pairs) == 1 and not pairs[0][0]:  # one silent way on: the child's future
+                cls[nid] = pairs[0][1]
+            elif pairs or node.terminal:  # else no complete trace below: no class
+                cls[nid] = ids.setdefault((node.terminal, tuple(pairs)), len(ids))
+        return cls
+
     def _quotient(self) -> list[tuple[int, Paths]]:
         """The DAG's observational quotient with its silent edges removed (see
         the module docstring): one row `(ends, {obs: {class: paths}})` per
-        class, numbered children first with the root's class last. Empty when
-        no complete trace exists. Keeps the DAG node -> class list, which the
-        class witness search reads, as `_class_of`."""
-        cls: list[Optional[int]] = [None] * len(self.nodes)  # DAG node id -> class id
-        ids: dict[tuple, int] = {}  # class key -> class id
+        class, numbered children first with the root's class last, each built
+        at the first node of its class. Empty when no complete trace exists."""
+        cls = self._class_of
         rows: list[tuple[int, Paths]] = []
         for nid, node in enumerate(self.nodes):
-            pairs = sorted((e.obs, cls[e.child]) for e in node.edges if cls[e.child] is not None)
-            if len(pairs) == 1 and not pairs[0][0]:  # one silent way on: the child's future
-                cls[nid] = pairs[0][1]
+            if cls[nid] != len(rows):  # no class, or one with a row already
                 continue
-            if not (pairs or node.terminal):  # no complete trace below: no class
-                continue
-            key = (node.terminal, tuple(pairs))
-            c = ids.get(key)
-            if c is None:
-                c = ids[key] = len(rows)
-                paths: Paths = {}
-                for obs, child in pairs:  # a silent pair takes the child's row, built already
-                    _merge(paths, {obs: {child: 1}} if obs else rows[child][1], 1)
-                rows.append((node.terminal + sum(rows[d][0] for obs, d in pairs if not obs), paths))
-            cls[nid] = c
-        self._class_of = cls
+            pairs = _pairs(node, cls)
+            paths: Paths = {}
+            for obs, child in pairs:  # a silent pair takes the child's row, built already
+                _merge(paths, {obs: {child: 1}} if obs else rows[child][1], 1)
+            rows.append((node.terminal + sum(rows[d][0] for obs, d in pairs if not obs), paths))
         root = cls[self.root]
         return [] if root is None else rows[: root + 1]  # later classes are not below the root
 
@@ -492,14 +501,8 @@ def explore(
     source: Union[M.MachineModel, ModelIndex],
     scenario: Optional[S.Scenario] = None,
     bounds: Optional[ExploreBounds] = None,
-    prune: bool = True,
 ) -> TraceSet:
-    """Walk every schedule of `scenario` on the machine.
-
-    prune=False disables state sharing (every path gets its own subtree,
-    and no memo key is built); the result must carry exactly the same
-    complete traces, which is what the pruning-soundness tests assert. Only
-    feasible for small models."""
+    """Walk every schedule of `scenario` on the machine."""
     ctx = source if isinstance(source, ModelIndex) else K.build_index(source)
     bnd = bounds or ExploreBounds()
     nodes: list[Node] = []
@@ -517,34 +520,31 @@ def explore(
     # far, and the label of the edge from the frame below
     stack: list[tuple] = []
 
-    def finish(key: Optional[tuple], node: Node, label: Optional[tuple]) -> None:
+    def finish(key: tuple, node: Node, label: Optional[tuple]) -> None:
         """Numbers a finished new node, children before parents so that the
         root is last, and links it by `label` to the frame on top of the stack."""
         nodes.append(node)
-        if prune:
-            keymap[key] = len(nodes) - 1
+        keymap[key] = len(nodes) - 1
         if stack:
             stack[-1][6].append(Edge(label[0], len(nodes) - 1, label[1]))
 
     def visit(st: RuntimeState, idx: int, depth: int, label: Optional[tuple]) -> None:
         """The node of (st, idx, depth), reached by `label`; a new node with
         steps goes on the stack, to be finished after its last child."""
-        key = comps = None
-        if prune:
-            comps = st.key()
-            if stack:  # a component the step left identical keeps the parent's id
-                pkey, pcomps = stack[-1][:2]
-                ids = [
-                    p if c is pc else comp_ids.setdefault(c, len(comp_ids))
-                    for c, pc, p in zip(comps, pcomps, pkey)
-                ]
-            else:
-                ids = [comp_ids.setdefault(c, len(comp_ids)) for c in comps]
-            key = (*ids, idx, depth)
-            nid = keymap.get(key)
-            if nid is not None:  # never the root: the stack holds its parent
-                stack[-1][6].append(Edge(label[0], nid, label[1]))
-                return
+        comps = st.key()
+        if stack:  # a component the step left identical keeps the parent's id
+            pkey, pcomps = stack[-1][:2]
+            ids = [
+                p if c is pc else comp_ids.setdefault(c, len(comp_ids))
+                for c, pc, p in zip(comps, pcomps, pkey)
+            ]
+        else:
+            ids = [comp_ids.setdefault(c, len(comp_ids)) for c in comps]
+        key = (*ids, idx, depth)
+        nid = keymap.get(key)
+        if nid is not None:  # never the root: the stack holds its parent
+            stack[-1][6].append(Edge(label[0], nid, label[1]))
+            return
         stats.nodes += 1
         steps = K.enabled_steps(ctx, st)
         if steps and (depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool):

@@ -6,15 +6,16 @@ regions, final states, entry and exit behaviors, doActivities that accept,
 send to self and fork with `par` (two of them alive at once: a composite's
 and its substate's, or one in each orthogonal region), deferral on
 composite states, and internal and completion transitions. There is no
-sequential oracle for them; the standing oracle is that pruned and
-unpruned exploration agree.
+sequential oracle for them; `tree_oracle` walks their schedules one tree
+path each, sharing no code with the explorer, and the explorer must agree
+with it.
 
 Every machine passes `validate`, and every schedule of every scenario ends:
 external and completion transitions only move forward in their region's
 state order (or into a final state), internal transitions keep their
 state, and only doActivities send to self, so each state is entered a
 bounded number of times and each doActivity runs a bounded number of times.
-Sizes are kept small enough for an unpruned walk.
+Sizes are kept small enough for the tree oracle's walk.
 
     machine = gen_hier_machine(seed)
     scenario = gen_hier_scenario(seed, machine)

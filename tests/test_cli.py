@@ -292,14 +292,6 @@ def test_explore_default_bounds_match_the_library(capsys):
     assert json.loads(out)["nodes"] == statebench.explore(m, scn).stats.nodes
 
 
-def test_explore_no_prune(capsys):
-    code, out, _ = invoke(
-        capsys, "explore", fx("do-simple.psm"), fx("do-simple.scn"), "--no-prune"
-    )
-    assert code == OK
-    assert "complete traces: 10" in out
-
-
 # --- lint --------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Exploration: exact counts, pruning soundness, witnesses, verdicts.
+"""Exploration: exact counts, agreement with the tree oracle, witnesses, verdicts.
 
 Class counts asserted here were computed once by hand-enumerating the small
 schedules (do-simple, accept-race) and then frozen; the larger ones are
@@ -20,12 +20,12 @@ import pytest
 from conftest import FIXTURE_PAIRS, machine, scenario_for
 from flat_oracle import gen_flat_machine, gen_flat_scenario
 from hier_gen import features, gen_hier_machine, gen_hier_scenario, seeds_with
-from statebench.engine import BudgetExceeded, ScriptStrategy, build_index, evaluate_run, run
+from tree_oracle import schedules
+from statebench.engine import BudgetExceeded, build_index, evaluate_run, run
 from statebench.engine.state import RuntimeState
 from statebench.explorer import ExploreBounds, explore
 from statebench.parser import parse_model, parse_scenario
-from statebench.scenario import Emits, EventuallyActive, NeverDiscards
-from statebench.trace import Trace
+from statebench.scenario import Emits, EventuallyActive
 
 
 def explored(name, scn_name=None, **kw):
@@ -92,17 +92,7 @@ def test_partition_counts_sum_to_total():
     assert sum(ts.signal_partition().values()) == ts.total
 
 
-# --- pruning soundness ----------------------------------------------------------
-
-
-def complete_paths(ts, nid, acc):
-    """Every complete trace of an unpruned tree in edge order, by brute force."""
-    node = ts.nodes[nid]
-    if node.terminal:
-        yield acc
-    for e in node.edges:
-        if e.child is not None:
-            yield from complete_paths(ts, e.child, acc + e.records)
+# --- the tree oracle -------------------------------------------------------------
 
 
 def verdict_json(v):
@@ -111,6 +101,67 @@ def verdict_json(v):
         v.witness.to_json() if v.witness else None,
         v.counterexample.to_json() if v.counterexample else None,
     )
+
+
+def tree_verdicts(ctx, scn, complete, cut):
+    """The scenario's expectations judged over the tree's complete leaves,
+    rendered as `verdict_json` renders an explorer verdict. `evaluate_run`
+    scores each leaf; the witness is the first passing leaf in canonical
+    order and the counterexample the first failing one, for `emits` among the
+    leaves of the first observable class on that side."""
+    judged = [evaluate_run(ctx, scn, r) for r in complete]
+    out = []
+    for i, exp in enumerate(scn.expectations):
+        good = sum(outcomes[i].ok for outcomes in judged)
+        verdict = "none" if good == 0 else "all" if good == len(complete) and not cut else "some"
+        firsts = []
+        for ok in (True, False):
+            side = [r.trace for r, outcomes in zip(complete, judged) if outcomes[i].ok == ok]
+            if side and isinstance(exp, Emits):
+                first = min(t.observables() for t in side)
+                side = [t for t in side if t.observables() == first]
+            firsts.append(replace(side[0], strategy="explore").to_json() if side else None)
+        out.append((verdict, *firsts))
+    return out
+
+
+def assert_walk_matches_the_tree(m, scn, bounds=ExploreBounds()):
+    """`explore` against `tree_oracle`, which shares no code with it: counts,
+    classes, leaf kinds, every verdict with its witness and counterexample,
+    and the untruncated `traces` in order. Returns the explorer's result."""
+    ctx = build_index(m)
+    ts = explore(ctx, scn, bounds)
+    leaves = list(schedules(ctx, scn, max_steps=bounds.max_micro_steps, max_pool=bounds.max_pool))
+    kinds = {leaf.kind for leaf in leaves}
+    complete = [leaf.result for leaf in leaves if leaf.kind == "complete"]
+    assert ts.total == len(complete)
+    assert ts.partition == dict(sorted(Counter(r.trace.observables() for r in complete).items()))
+    assert list(ts.partition) == sorted(ts.partition)  # dict equality ignores order
+    assert ts.stats.discard_traces == sum(
+        any(rec.kind == "DiscardEvent" for rec in r.trace.records) for r in complete
+    )
+    # the DAG's leaves do not say why they end, so deadlocks and cuts
+    # compare as counts
+    assert (ts.stats.deadlocks > 0, ts.stats.truncated > 0) == ("deadlock" in kinds, "cut" in kinds)
+    # the DAG unfolds into the tree: a node stands for one tree node per
+    # path from the root to it
+    paths = [0] * len(ts.nodes)
+    paths[ts.root] = 1
+    for nid in reversed(range(len(ts.nodes))):
+        for e in ts.nodes[nid].edges:
+            paths[e.child] += paths[nid]
+    assert ts.stats.nodes <= sum(paths) == leaves[-1].node + 1
+    assert not ts.truncated_traces
+    assert [t.records for t in ts.traces] == [r.trace.records for r in complete]
+    assert [verdict_json(v) for v in ts.check_all()] == tree_verdicts(ctx, scn, complete, "cut" in kinds)
+    # no edge closes a cycle: every child is numbered before its parent,
+    # and the root is last; and no edge emits more than one observable,
+    # which `partition` relies on when it groups edges by their obs
+    assert ts.root == len(ts.nodes) - 1
+    for nid, node in enumerate(ts.nodes):
+        assert all(e.child < nid for e in node.edges)
+        assert all(len(e.obs) <= 1 for e in node.edges)
+    return ts
 
 
 @pytest.mark.parametrize("name,text,verdicts", [
@@ -162,55 +213,17 @@ def verdict_json(v):
         id="par-final-stop",
     ),
 ])
-def test_pruned_and_unpruned_agree(name, text, verdicts):
+def test_walk_matches_the_tree(name, text, verdicts):
     m = machine(name)
     scn = parse_scenario(text, m).scenario if text else scenario_for(name, m)
-    pruned = explore(m, scn, prune=True)
-    full = explore(m, scn, prune=False)
-    assert pruned.total == full.total
-    assert pruned.partition == full.partition
-    # sharing must actually happen for the DAG to be smaller
-    assert pruned.stats.nodes <= full.stats.nodes
-    assert sorted(t.obs_signals() for t in pruned.traces) == sorted(
-        t.obs_signals() for t in full.traces
-    )
-    assert pruned.stats.discard_traces == full.stats.discard_traces
-    got = pruned.check_all()
-    assert [verdict_json(v) for v in got] == [verdict_json(v) for v in full.check_all()]
+    ts = assert_walk_matches_the_tree(m, scn)
     if verdicts is not None:
-        assert [v.verdict for v in got] == verdicts
-
-    # each witness and counterexample is the first complete trace in edge
-    # order that a replay judges the same way; emits takes it from the first
-    # observable class on its side
-    paths = list(complete_paths(full, full.root, full.root_records))
-    assert len(paths) == full.total
-    assert Counter(Trace(p).observables() for p in paths) == full.partition
+        assert [v.verdict for v in ts.check_all()] == verdicts
     if name == "composite-work":
-        assert full.total == 285
-    ctx = build_index(m)
-    judged = [
-        evaluate_run(ctx, scn, run(ctx, scn, ScriptStrategy(Trace(p).script())))
-        for p in paths
-    ]
-    for i, v in enumerate(got):
-        good = sum(outcomes[i].ok for outcomes in judged)
-        if good == 0:
-            want = "none"
-        elif good == len(paths) and not full.stats.truncated:
-            want = "all"
-        else:
-            want = "some"
-        assert v.verdict == want
-        for ok, found in ((True, v.witness), (False, v.counterexample)):
-            side = [p for p, outcomes in zip(paths, judged) if outcomes[i].ok == ok]
-            if side and isinstance(v.expectation, Emits):
-                first = min(Trace(p).observables() for p in side)
-                side = [p for p in side if Trace(p).observables() == first]
-            assert (found.records if found else None) == (side[0] if side else None)
+        assert ts.total == 285
 
 
-# every fixture scenario but measurement (too large to walk unpruned), as
+# every fixture scenario but measurement (too large for the tree), as
 # (machine, scenario), plus inline scenarios for the hierarchical machines
 # that have no scenario file
 BOUNDED_CASES = [
@@ -249,10 +262,11 @@ BOUNDED_CASES = [
     pytest.param(ExploreBounds(max_pool=1), id="pool1"),
 ])
 @pytest.mark.parametrize("name,scn_ref", BOUNDED_CASES)
-def test_bounded_pruned_and_unpruned_agree(name, scn_ref, bounds):
+def test_bounded_walk_matches_the_tree(name, scn_ref, bounds):
+    # a bound must cut the same schedules whatever order the walk takes
     m = machine(name)
     scn = parse_scenario(scn_ref, m).scenario if "{" in scn_ref else scenario_for(scn_ref, m)
-    assert_bounded_walks_agree(m, scn, bounds)
+    assert_walk_matches_the_tree(m, scn, bounds)
 
 
 GENERATED_BOUNDS = {"steps25": ExploreBounds(max_micro_steps=25), "pool1": ExploreBounds(max_pool=1)}
@@ -264,9 +278,9 @@ GENERATED_BOUNDS = {"steps25": ExploreBounds(max_micro_steps=25), "pool1": Explo
     *(pytest.param(seed, ExploreBounds(max_micro_steps=15), id=f"{seed}-steps15")
       for seed in seeds_with("two dos alive at once")),
 ])
-def test_generated_hierarchical_pruned_and_unpruned_agree(seed, bounds):
+def test_generated_hierarchical_walk_matches_the_tree(seed, bounds):
     m = gen_hier_machine(seed)
-    assert_bounded_walks_agree(m, gen_hier_scenario(seed, m), bounds)
+    assert_walk_matches_the_tree(m, gen_hier_scenario(seed, m), bounds)
 
 
 def test_generated_hierarchical_machines_cover_every_feature():
@@ -275,29 +289,6 @@ def test_generated_hierarchical_machines_cover_every_feature():
         "composite", "orthogonal", "final", "entry", "exit", "accept", "send to self", "par",
         "defer on a composite", "internal", "completion", "two dos alive at once",
     }
-
-
-def assert_bounded_walks_agree(m, scn, bounds):
-    # a bound must cut the same schedules whatever order the walk takes
-    pruned = explore(m, scn, bounds=bounds, prune=True)
-    full = explore(m, scn, bounds=bounds, prune=False)
-    assert pruned.total == full.total
-    assert pruned.partition == full.partition
-    # both partitions fold over a quotient; the tree's paths do not
-    paths = complete_paths(full, full.root, full.root_records)
-    assert Counter(Trace(p).observables() for p in paths) == pruned.partition
-    assert pruned.stats.discard_traces == full.stats.discard_traces
-    assert [verdict_json(v) for v in pruned.check_all()] == [
-        verdict_json(v) for v in full.check_all()
-    ]
-    # no edge closes a cycle: every child is numbered before its parent,
-    # and the root is last; and no edge emits more than one observable,
-    # which `partition` relies on when it groups edges by their obs
-    for ts in (pruned, full):
-        assert ts.root == len(ts.nodes) - 1
-        for nid, node in enumerate(ts.nodes):
-            assert all(e.child < nid for e in node.edges)
-            assert all(len(e.obs) <= 1 for e in node.edges)
 
 
 @pytest.mark.parametrize("seed", range(0, 30))
@@ -405,6 +396,13 @@ def test_class_witnesses_match_the_monitor_search(case, request):
     ts = explore(m, scn, bounds=WITNESS_BOUNDS[bound])
     for seq in ts.partition:
         assert ts._class_witness(seq).records == monitor_witness(ts, seq), seq
+
+
+def test_class_witness_reads_no_partition_first():
+    # the node -> class list the search reads does not wait for `partition`
+    ts = explored("do-simple")
+    assert ts._class_witness(()).records == monitor_witness(ts, ())
+    assert "partition" not in vars(ts)
 
 
 def test_wait_point_drains_deferred_backlog_before_fresh_events():
@@ -628,16 +626,13 @@ def test_equal_edge_labels_are_shared(s2):
     assert not hasattr(ts.nodes[0], "__dict__")
 
 
-def test_memo_key_is_built_once_per_visit_and_only_when_pruning(s2, monkeypatch):
+def test_memo_key_is_built_once_per_visit(s2, monkeypatch):
     calls = []
     key = RuntimeState.key
     monkeypatch.setattr(RuntimeState, "key", lambda st: calls.append(st) or key(st))
     ts = explore(*s2)
     # the root, then the child of every edge
     assert (len(ts.nodes), ts.stats.edges, len(calls)) == (885, 1477, 1478)
-    calls.clear()
-    full = explored("do-simple", prune=False)
-    assert full.total == 10 and calls == []
 
 
 def test_dag_bytes_per_node(s2):

@@ -3,7 +3,7 @@
 `state._evolve` builds every successor by copying fields instead of running
 the dataclasses' `__init__`, each `MicroStep` renders its key once, and a
 state keeps its pool digest next to the pools it was taken from. These
-tests wrap `apply` and `inject` through the pruned walks of every fixture
+tests wrap `apply` and `inject` through the explorer's walks of every fixture
 scenario and check each call against values rebuilt from scratch here, and
 check that a walk builds each distinct record once.
 They also check that each doActivity thread owns its wait points and its
