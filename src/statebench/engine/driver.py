@@ -98,9 +98,11 @@ def advance_scenario(
     scenario: Optional[S.Scenario],
     idx: int,
     records: list[Record],
+    made: Optional[dict[tuple, Record]] = None,
 ) -> tuple[RuntimeState, int]:
     """Consume scenario steps as far as stability allows. Injections are
-    forced moves, not scheduling choices; they land in `records`."""
+    forced moves, not scheduling choices; they land in `records`. `made` is
+    passed on to `K.inject`."""
     if scenario is None:
         return st, idx
     steps = scenario.steps
@@ -109,7 +111,7 @@ def advance_scenario(
             idx += 1
             continue
         while idx < len(steps) and isinstance(steps[idx], S.Inject):
-            st, rec = K.inject(ctx, st, steps[idx].signal)
+            st, rec = K.inject(ctx, st, steps[idx].signal, made)
             records.append(rec)
             idx += 1
     return st, idx

@@ -786,12 +786,15 @@ def boot(ctx: ModelIndex) -> RuntimeState:
     return _evolve(st, next_tid=len(ctx.root_regions))
 
 
-def inject(ctx: ModelIndex, st: RuntimeState, signal: str) -> tuple[RuntimeState, Record]:
+def inject(
+    ctx: ModelIndex, st: RuntimeState, signal: str, made: Optional[dict[tuple, Record]] = None
+) -> tuple[RuntimeState, Record]:
     """The environment's entry: `signal` joins the regular pool. Not an
-    enabled step; `run` and `explore` call it at stable points only."""
+    enabled step; `run` and `explore` call it at stable points only. `made`
+    is the caller's table of the records rendered so far, as for `apply`."""
     if signal not in ctx.model.signals:
         raise KernelError(f"unknown signal {signal}")
     occ = SignalOccurrence(signal, st.next_seq)
     post = _evolve(st, queue_regular=st.queue_regular + (occ,), next_seq=st.next_seq + 1)
     step = MicroStep(StepKind.INJECT, "env", (("signal", signal),))
-    return _render(ctx, st, post, step, None, [("occ", occ.brief())], {})
+    return _render(ctx, st, post, step, None, [("occ", occ.brief())], {} if made is None else made)

@@ -7,101 +7,78 @@ behavior-relevant), a scenario index and the path length in records. Paths
 that reach the same node have the same continuations, step bound included,
 so the tree collapses into a DAG and pruning is lossless: counts and
 observable classes are exact and do not depend on the order of the walk.
-Every edge adds a record, so no edge leads back into the current path and
-the DAG has no cycle. A state reached at several path lengths is a node per
-length, so the DAG can be larger than the graph of runtime states.
+Every edge adds a record, so the DAG has no cycle, and a state reached at
+several path lengths is a node per length. The step bound counts records
+per schedule, forced scenario injections included (they sit inside edge
+record lists but never fork the DAG), as `run` does; like `run`, the bounds
+cut only where a step is still enabled.
 
-The step bound counts records per schedule, forced scenario injections
-included (they sit inside edge record lists but never fork the DAG), as
-`run` does; like `run`, the bounds cut only where a step is still enabled.
+The DAG is flat int arrays, as in SPIN's compact state storage. The walk
+numbers nodes as they finish, so ids are a topological order (children
+first, the root last), and stores a node's edges then, side by side: node
+n's edges are `first[n]` up to `first[n + 1]`, edge i leads to `child[i]` by
+the label `labels[label[i]]`, and `terminal[n]` is 1 at a terminal node. A
+label is a `(records, obs)` pair: the edge's records (the step's, then any
+forced injections) and their observables, one per distinct record list and
+shared by every edge that has it. `explore` hands `K.apply` and `K.inject` a
+table of the records rendered so far, so each distinct record is built once
+and labels are looked up by their records' identities. These tables are
+local to the walk. `TraceSet.nodes` builds `Node` and `Edge` objects from the
+arrays on first read, for readers outside this module; no query reads it.
 
-An edge holds its label and its child. The label is the edge's records (the
-step's record, then any forced injections) and their observables. Labels
-repeat across the DAG far more than nodes do, so each walk keeps one
-`(records, obs)` pair per distinct record list, which every edge with that
-list shares, and one tuple per distinct obs. The sharing is exact (equal
-values are interchangeable), and its tables are local to the walk, so no
-cache outlives the result. Each distinct step record is built once per walk:
-`explore` hands `K.apply` a table, local to the walk as well, of the records
-rendered so far by their inputs, so equal step records are one object
-(injections, which `inject` renders, are not in it).
+A node's memo key packs small ints into one `bytes`: one id per compared
+`RuntimeState` field, then the scenario index and the depth. One table local
+to the walk gives each distinct component value (by `==`) the next id, so
+the memo holds one object per distinct value: SPIN's collapse compression
+(Holzmann, "State compression in SPIN", 1997). A component the step left
+identical (`is`) to the parent's keeps the parent's id, so only changed
+components are hashed. Two keys are equal exactly when the states' `key()`
+tuples are; hash compaction or bitstate hashing would store less, but would
+let two states share a key now and then and lose the exact counts.
 
-A node's memo key is a flat tuple of small ints: one id per compared
-`RuntimeState` field, then the scenario index and the depth. The ids come
-from one table local to the walk that gives each distinct component value
-(by `==`) the next id, so equal values get one id, and the memo holds one
-object per distinct value, however many equal copies the walk builds. This
-is SPIN's collapse compression (Holzmann, "State compression in SPIN",
-1997). A step leaves most components of its state identical (`is`) to the
-parent's, and those keep the parent's ids, so only the components the step
-changed are hashed.
-The key is exact: ids are a function of `==` classes, so two keys are equal
-exactly when the states' `key()` tuples are, and the DAG is the one a key of
-whole states would give. Hash compaction and bitstate hashing would store
-less, but let two different states share a key now and then, and so lose the
-exact counts.
+Every query runs on three iterative passes, so no depth of the DAG can
+exhaust the interpreter's stack: `_count(monitor)`, the exact number of
+complete traces a monitor accepts, one pass from the root down over the
+product of the DAG and the monitor's states; `_accepted(monitor)`, the
+complete record paths it accepts in canonical edge order (the order the
+kernel enabled them), never entering again a (node, state) pair that led to
+no accepted path; and `_class_witnesses(seqs)`, below. A monitor is a triple
+`(start, step, accept)`: the state at the root, `step(state, label)` giving
+the state after an edge with that label (None rejects every path through
+it), and `accept(state)`, judged at a terminal node. `total`, the discard
+count and the `eventually-active` and `never-discards` expectations are
+monitors, whose witness and counterexample are the first passing and the
+first failing path. S becomes active exactly on an `EnterState` record
+whose `state` is S's dotted path.
 
-Every query runs on four generic pieces, all iterative, so no depth of the
-DAG can exhaust the interpreter's stack:
-
-- the builder, `explore`: a depth-first walk on an explicit stack that
-  numbers nodes as they finish, so ids are a topological order: every child
-  comes before its parent, and the root is last;
-- `TraceSet._count(monitor)`: the exact number of complete traces a monitor
-  accepts, one pass over the product of the DAG and the monitor's states,
-  from the root down, that frees each node's row once it is read;
-- `TraceSet._accepted(monitor)`: the complete record paths a monitor
-  accepts, in canonical edge order (each node's edges in the order the
-  kernel enabled them). A (node, state) pair that led to no accepted path is
-  never entered again;
-- `TraceSet._class_witness(seq)`: the first complete path, in canonical edge
-  order, whose observables are exactly `seq`, searched over the DAG by
-  (quotient class, position in `seq`); see below.
-
-A monitor is a triple `(start, step, accept)`: the state at the root,
-`step(state, edge)` giving the state after a followed edge (None rejects the
-edge and every path through it), and `accept(state)`, judged at a terminal
-node. `total`, the discard count and the `eventually-active` and
-`never-discards` expectations are monitors; for the two expectations the
-witness and the counterexample are the first passing and the first failing
-path. DAG nodes hold no runtime state, so `eventually-active S` is judged
-from the records: S becomes active exactly on an `EnterState` record whose
-`state` is S's dotted path.
-
-`partition` runs on the DAG's observational quotient, which merges DAG nodes
-whose complete traces below emit equal multisets of observable sequences. A
-class is keyed by whether the node is terminal and by the sorted (obs, child
-class) pairs of its edges, computed children first: nodes with equal keys
-have equal multisets by induction, and a node whose only way on is one
-silent edge has its child's. Merging is exact, so paths in the quotient
-count what they count in the DAG, with far fewer nodes (`s3`: 3,381 classes
-for 38,674 nodes). Silent edges are removed once per class (Mohri, "Generic
+`partition` runs on the DAG's observational quotient, which merges nodes
+whose complete traces below emit equal multisets of observable sequences:
+a class is keyed by whether the node is terminal and the sorted (obs, child
+class) pairs of its edges, computed children first, and a node whose only
+way on is one silent edge has its child's (`s3`: 3,381 classes for 38,674
+nodes). Silent edges are removed once per class (Mohri, "Generic
 epsilon-removal and input epsilon-normalization algorithms for weighted
 transducers", 2002): a class's row counts its silent paths to a terminal
 class and, per obs and class d, those that end in an edge emitting obs into
-d; a silent edge adds its child's row, built already. The classes come from
-a depth-first walk over the observable prefixes, the weighted subset
-construction done on the fly (Mohri, "Finite-state transducers in language
-and speech processing", 1997). A prefix's frontier maps each class to the
-paths that read the prefix to it; summed over it, the rows give the prefix's
-count and, grouped by obs, the next frontiers. An edge emits at most one
-observable, so pushing the groups in reverse order yields the prefixes in
-sorted order. Every query that reads records (counts, flags, witnesses) runs
-on the DAG.
+d. The classes come from a depth-first walk over the observable prefixes,
+the weighted subset construction done on the fly (Mohri, "Finite-state
+transducers in language and speech processing", 1997): a prefix's frontier
+maps each class to the paths that read the prefix to it, and the rows give
+its count and, grouped by obs, the next frontiers, pushed in reverse order
+so that the prefixes come out sorted (an edge emits at most one obs).
 
-Class witnesses answer one question for three callers: a capped `traces`,
+Class witnesses serve a capped `traces` (one call for all its classes),
 `find_trace`, and the `emits` expectation, whose witness and counterexample
-are the first path of the first observable class (in `partition` order) on
-that side; that need not be the first path of that side in edge order.
-`_class_witness(seq)` follows only edges whose obs is empty or the next entry
-of `seq` (an edge emits at most one), and only into children that have a
-quotient class: the others have no complete trace below. A dead end is a
-fact about a (class, position) pair, not only about the node it was found
-at: the nodes of one class have equal multisets of observable sequences
-below, so whether some complete path below reads the rest of `seq` from
-that position is the same for all of them. The search records each
-(class, position) pair it left without a path and enters it from no node
-again, and stops at the first terminal node it reaches at the end of `seq`.
+are the first path of the first class (in `partition` order) on that side.
+For each `seq`, the search finds the first complete path in canonical edge
+order whose observables are exactly `seq`. It follows only edges whose obs
+is empty or the next entry of `seq`, into children that have a quotient
+class. A dead end is a fact about a (class, suffix) pair, not only about the
+node and the sequence it was found for: the nodes of one class have equal
+observable futures. So the search enters each (class, suffix) pair it left
+without a path from no node again, for every sequence of the call; a
+suffix's id comes from a table, local to the call, keyed by (its first obs,
+the id of the rest).
 
 Observable equivalence: two complete traces are in the same class when their
 sequences of environment sends (signal plus emitting root region) are equal.
@@ -112,10 +89,12 @@ differ only in how independent regions' outputs interleave.
 
 from __future__ import annotations
 
+from array import array
+from struct import Struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Union
 
 from . import model as M
 from . import scenario as S
@@ -141,7 +120,7 @@ class ExploreBounds:
 
 
 @dataclass(frozen=True, slots=True)
-class Edge:
+class Edge:  # of the `TraceSet.nodes` view, as `Node` is
     records: tuple[Record, ...]    # the step's record plus any forced injections
     child: int
     obs: tuple[tuple[str, str], ...]  # at most one: injections emit nothing, and `partition` relies on it
@@ -174,9 +153,11 @@ class ExpectationVerdict:
         return self.verdict == "all"
 
 
-if TYPE_CHECKING:  # at run time typing's cache would keep every imported Edge alive
-    Monitor = tuple[Any, Callable[[Any, Edge], Any], Callable[[Any], bool]]  # start, step, accept
-    Paths = dict[tuple[tuple[str, str], ...], dict[int, int]]  # obs -> class id -> paths
+if TYPE_CHECKING:  # aliases for annotations only
+    Obs = tuple[tuple[str, str], ...]
+    Label = tuple[tuple[Record, ...], Obs]  # an edge's records and their observables
+    Monitor = tuple[Any, Callable[[Any, Label], Any], Callable[[Any], bool]]  # start, step, accept
+    Paths = dict[Obs, dict[int, int]]  # obs -> class id -> paths
 
 _EVERY: Monitor = (True, lambda s, e: s, lambda s: True)
 
@@ -189,31 +170,26 @@ def _merge(into: Paths, paths: Paths, w: int) -> None:
             acc[c] = acc.get(c, 0) + w * m
 
 
-def _pairs(node: Node, cls: list[Optional[int]]) -> list[tuple[tuple[tuple[str, str], ...], int]]:
-    """The sorted (obs, child class) pairs of the node's edges into children
-    that have a quotient class."""
-    return sorted((e.obs, cls[e.child]) for e in node.edges if cls[e.child] is not None)
+def _flag_monitor(hit: Callable[[Label], bool], want: bool) -> Monitor:
+    """Whether `hit` held on some followed edge's label; accepts the paths
+    where that equals `want`."""
+    return False, (lambda s, lab: s or hit(lab)), (lambda s: s == want)
 
 
-def _flag_monitor(hit: Callable[[Edge], bool], want: bool) -> Monitor:
-    """Whether `hit` held on some followed edge; accepts the paths where that
-    equals `want`."""
-    return False, (lambda s, e: s or hit(e)), (lambda s: s == want)
-
-
-def _discards(e: Edge, prefix: str = "") -> bool:
+def _discards(lab: Label, prefix: str = "") -> bool:
     """Whether the edge discards an occurrence whose brief starts with `prefix`."""
     return any(
         r.kind == "DiscardEvent" and str(dict(r.payload).get("occ", "")).startswith(prefix)
-        for r in e.records
+        for r in lab[0]
     )
 
 
-def _enters(e: Edge, state: str) -> bool:
+def _enters(lab: Label, state: str) -> bool:
     """Whether the edge makes the state with dotted path `state` active."""
-    return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in e.records)
+    return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in lab[0])
 
 
+@dataclass(eq=False, repr=False)
 class TraceSet:
     """The result of one exploration: a trace DAG plus the queries the rest
     of the toolchain needs (counts, classes, witnesses, expectation checks).
@@ -223,22 +199,28 @@ class TraceSet:
     `truncated_traces` is set and it holds the class witnesses of the first
     `max_traces` observable classes, in `partition` order."""
 
-    def __init__(
-        self,
-        ctx: ModelIndex,
-        scenario: Optional[S.Scenario],
-        bounds: ExploreBounds,
-        nodes: list[Node],
-        root_records: tuple[Record, ...],
-        stats: ExploreStats,
-    ):
-        self.ctx = ctx
-        self.scenario = scenario
-        self.bounds = bounds
-        self.nodes = nodes             # numbered children before parents
-        self.root = len(nodes) - 1
-        self.root_records = root_records
-        self.stats = stats
+    ctx: ModelIndex
+    scenario: Optional[S.Scenario]
+    bounds: ExploreBounds
+    first: array                   # the DAG's arrays: see the module docstring
+    child: array
+    label: array
+    terminal: bytearray
+    labels: list[Label]
+    root_records: tuple[Record, ...]
+    stats: ExploreStats
+
+    @property
+    def root(self) -> int:
+        return len(self.terminal) - 1
+
+    @cached_property
+    def nodes(self) -> list[Node]:
+        """The DAG as `Node` and `Edge` objects, built on first read for
+        readers outside this module; no query reads it."""
+        first, child, label, labels = self.first, self.child, self.label, self.labels
+        edges = [Edge(labels[label[i]][0], child[i], labels[label[i]][1]) for i in range(len(child))]
+        return [Node(tuple(edges[first[nid] : first[nid + 1]]), bool(t)) for nid, t in enumerate(self.terminal)]
 
     # -- the generic queries -------------------------------------------------
 
@@ -247,17 +229,18 @@ class TraceSet:
         numbered children first, so in reverse each node's row (monitor state
         -> paths from the root) is whole when it is read, and freed then."""
         start, step, accept = monitor
+        first, child, label, labels, terminal = self.first, self.child, self.label, self.labels, self.terminal
         rows: dict[int, dict[Any, int]] = {self.root: {start: 1}}
         count = 0
-        for nid in reversed(range(len(self.nodes))):
+        for nid in reversed(range(len(terminal))):
             row = rows.pop(nid)  # the root's, or filled in by an edge into the node
-            node = self.nodes[nid]
-            if node.terminal:
+            if terminal[nid]:
                 count += sum(cnt for s, cnt in row.items() if accept(s))
-            for e in node.edges:  # none at leaves: terminal, deadlocked, truncated
-                below = rows.setdefault(e.child, {})
+            for i in range(first[nid], first[nid + 1]):  # none at leaves: terminal, deadlocked, truncated
+                below = rows.setdefault(child[i], {})
+                lab = labels[label[i]]
                 for s, cnt in row.items():
-                    s2 = step(s, e)
+                    s2 = step(s, lab)
                     if s2 is not None:
                         below[s2] = below.get(s2, 0) + cnt
         return count
@@ -266,26 +249,27 @@ class TraceSet:
         """Record paths of the complete traces `monitor` accepts, in
         canonical edge order."""
         start, step, accept = monitor
-        nodes = self.nodes
-        path = list(self.root_records)
-        if nodes[self.root].terminal:
+        first, child, label, labels, terminal = self.first, self.child, self.label, self.labels, self.terminal
+        root, path = self.root, list(self.root_records)
+        if terminal[root]:
             if accept(start):
                 yield tuple(path)
             return
         dead: set[tuple[int, Any]] = set()
         # frame: node id, monitor state, edge iterator, path length, yielded
-        stack = [[self.root, start, iter(nodes[self.root].edges), len(path), False]]
+        stack = [[root, start, iter(range(first[root], first[root + 1])), len(path), False]]
         while stack:
             frame = stack[-1]
             _, s, edges, mark, _ = frame
-            for e in edges:
-                s2 = step(s, e)
-                if s2 is None or (e.child, s2) in dead:
+            for i in edges:
+                lab, c = labels[label[i]], child[i]
+                s2 = step(s, lab)
+                if s2 is None or (c, s2) in dead:
                     continue
                 del path[mark:]
-                path.extend(e.records)
-                if not nodes[e.child].terminal:
-                    stack.append([e.child, s2, iter(nodes[e.child].edges), len(path), False])
+                path.extend(lab[0])
+                if not terminal[c]:
+                    stack.append([c, s2, iter(range(first[c], first[c + 1])), len(path), False])
                     break
                 if accept(s2):
                     frame[4] = True
@@ -297,43 +281,55 @@ class TraceSet:
                 elif stack:
                     stack[-1][4] = True
 
-    def _class_witness(self, seq: tuple[tuple[str, str], ...]) -> Trace:
-        """The first complete path, in canonical edge order, whose
-        observables are exactly `seq`, a key of `partition`; dead ends are
-        kept per (class, position), as the module docstring explains."""
-        nodes, cls, n = self.nodes, self._class_of, len(seq)
-        path = list(self.root_records)
-        if nodes[self.root].terminal and not seq:
-            return self._mk_trace(tuple(path))
-        dead: set[tuple[int, int]] = set()
-        # frame: class, position in seq, edge iterator, path length
-        stack = [(cls[self.root], 0, iter(nodes[self.root].edges), len(path))]
-        while stack:
-            c, pos, edges, mark = stack[-1]
-            for e in edges:
-                d = cls[e.child]
-                if d is None:
-                    continue
-                if e.obs:
-                    if pos == n or e.obs[0] != seq[pos]:
+    def _class_witnesses(self, seqs: Iterable[Obs]) -> Iterator[Trace]:
+        """The class witness of each `seq` of `seqs` (keys of `partition`),
+        with dead ends shared by all of them; see the module docstring."""
+        first, child, label, labels, terminal = self.first, self.child, self.label, self.labels, self.terminal
+        cls, root = self._class_of, self.root
+        width = len(cls)  # the dead end (class c, suffix id s) is s * width + c
+        # (first obs, id of the rest) -> id, () being 0; -1 if it ends no dead end
+        suffixes: dict[tuple[tuple[str, str], int], int] = {}
+        dead: set[int] = set()
+        for seq in seqs:
+            n = len(seq)
+            sids = [-1] * n + [0]  # sids[pos]: the id of seq[pos:]
+            for pos in reversed(range(n)):
+                sids[pos] = suffixes.get((seq[pos], sids[pos + 1]), -1)
+            path = list(self.root_records)
+            found = terminal[root] and not seq  # else a terminal root, with no edges, is a dead end
+            # frame: class, position in seq, edge iterator, path length
+            stack = [(cls[root], 0, iter(range(first[root], first[root + 1])), len(path))]
+            while stack and not found:
+                c, pos, edges, mark = stack[-1]
+                for i in edges:
+                    d = cls[nid := child[i]]
+                    if d is None:
                         continue
-                    at = pos + 1
-                else:
+                    records, obs = labels[label[i]]
                     at = pos
-                if (d, at) in dead:
-                    continue
-                del path[mark:]
-                path.extend(e.records)
-                child = nodes[e.child]
-                if not child.terminal:
-                    stack.append((d, at, iter(child.edges), len(path)))
-                    break
-                if at == n:
-                    return self._mk_trace(tuple(path))
-            else:
-                stack.pop()
-                dead.add((c, pos))
-        raise ValueError(f"no complete trace emits {seq}")
+                    if obs:
+                        if pos == n or obs[0] != seq[pos]:
+                            continue
+                        at += 1
+                    if sids[at] * width + d in dead:  # never with sids[at] == -1
+                        continue
+                    del path[mark:]
+                    path.extend(records)
+                    if not terminal[nid]:
+                        stack.append((d, at, iter(range(first[nid], first[nid + 1])), len(path)))
+                        break
+                    if at == n:
+                        found = True
+                        break
+                else:
+                    stack.pop()
+                    if sids[pos] < 0:  # the suffix gets an id, and so do its own suffixes
+                        for k in reversed(range(pos, n)):
+                            sids[k] = suffixes.setdefault((seq[k], sids[k + 1]), len(suffixes) + 1)
+                    dead.add(sids[pos] * width + c)
+            if not found:
+                raise ValueError(f"no complete trace emits {seq}")
+            yield self._mk_trace(tuple(path))
 
     # -- counting ----------------------------------------------------------
 
@@ -347,15 +343,22 @@ class TraceSet:
     def _class_of(self) -> list[Optional[int]]:
         """DAG node id -> quotient class id (None: no complete trace below),
         class ids numbered as first met, children first; see the module docstring."""
-        cls: list[Optional[int]] = [None] * len(self.nodes)
+        cls: list[Optional[int]] = [None] * len(self.terminal)
         ids: dict[tuple, int] = {}  # class key -> class id
-        for nid, node in enumerate(self.nodes):
-            pairs = _pairs(node, cls)
+        for nid, terminal in enumerate(self.terminal):
+            pairs = self._pairs(nid, cls)
             if len(pairs) == 1 and not pairs[0][0]:  # one silent way on: the child's future
                 cls[nid] = pairs[0][1]
-            elif pairs or node.terminal:  # else no complete trace below: no class
-                cls[nid] = ids.setdefault((node.terminal, tuple(pairs)), len(ids))
+            elif pairs or terminal:  # else no complete trace below: no class
+                cls[nid] = ids.setdefault((terminal, tuple(pairs)), len(ids))
         return cls
+
+    def _pairs(self, nid: int, cls: list[Optional[int]]) -> list[tuple[Obs, int]]:
+        """The sorted (obs, child class) pairs of the node's edges into
+        children that have a quotient class."""
+        child, label, labels = self.child, self.label, self.labels
+        out = range(self.first[nid], self.first[nid + 1])
+        return sorted((labels[label[i]][1], cls[child[i]]) for i in out if cls[child[i]] is not None)
 
     def _quotient(self) -> list[tuple[int, Paths]]:
         """The DAG's observational quotient with its silent edges removed (see
@@ -364,14 +367,14 @@ class TraceSet:
         at the first node of its class. Empty when no complete trace exists."""
         cls = self._class_of
         rows: list[tuple[int, Paths]] = []
-        for nid, node in enumerate(self.nodes):
+        for nid, terminal in enumerate(self.terminal):
             if cls[nid] != len(rows):  # no class, or one with a row already
                 continue
-            pairs = _pairs(node, cls)
+            pairs = self._pairs(nid, cls)
             paths: Paths = {}
             for obs, child in pairs:  # a silent pair takes the child's row, built already
                 _merge(paths, {obs: {child: 1}} if obs else rows[child][1], 1)
-            rows.append((node.terminal + sum(rows[d][0] for obs, d in pairs if not obs), paths))
+            rows.append((terminal + sum(rows[d][0] for obs, d in pairs if not obs), paths))
         root = cls[self.root]
         return [] if root is None else rows[: root + 1]  # later classes are not below the root
 
@@ -417,12 +420,8 @@ class TraceSet:
     # -- materialization ------------------------------------------------------
 
     def _mk_trace(self, records: tuple[Record, ...]) -> Trace:
-        return Trace(
-            records=records,
-            model=self.ctx.model.name,
-            scenario=self.scenario.name if self.scenario else "",
-            strategy="explore",
-        )
+        scenario = self.scenario.name if self.scenario else ""
+        return Trace(records, model=self.ctx.model.name, scenario=scenario, strategy="explore")
 
     @cached_property
     def truncated_traces(self) -> bool:
@@ -432,14 +431,14 @@ class TraceSet:
     def traces(self) -> tuple[Trace, ...]:
         if not self.truncated_traces:
             return tuple(self._mk_trace(p) for p in self._accepted(_EVERY))
-        return tuple(self._class_witness(seq) for seq in islice(self.partition, self.bounds.max_traces))
+        return tuple(self._class_witnesses(islice(self.partition, self.bounds.max_traces)))
 
     def find_trace(self, signals: tuple[str, ...]) -> Optional[Trace]:
         """Witness whose env-send signal sequence equals `signals` exactly
         (emitting region ignored)."""
         for seq in self.partition:
             if tuple(sig for sig, _ in seq) == signals:
-                return self._class_witness(seq)
+                return next(self._class_witnesses((seq,)))
         return None
 
     # -- expectation checking ---------------------------------------------
@@ -457,7 +456,7 @@ class TraceSet:
             good = sum(cnt for seq, cnt in self.partition.items() if hit[seq])
 
             def first(ok: bool) -> Trace:  # the first observable class on that side
-                return self._class_witness(next(seq for seq in hit if hit[seq] == ok))
+                return next(self._class_witnesses((next(seq for seq in hit if hit[seq] == ok),)))
 
         else:
             if isinstance(exp, S.EventuallyActive):
@@ -505,86 +504,87 @@ def explore(
     """Walk every schedule of `scenario` on the machine."""
     ctx = source if isinstance(source, ModelIndex) else K.build_index(source)
     bnd = bounds or ExploreBounds()
-    nodes: list[Node] = []
-    keymap: dict[tuple[int, ...], int] = {}
+    first, child, label, terminal = array("I", [0]), array("I"), array("I"), bytearray()
+    keymap: dict[bytes, int] = {}
+    # a key is one 4-byte unsigned int per `key()` component (a compared
+    # field), then idx and depth: exact for every value below 2**32, and
+    # struct raises rather than wrap a larger one
+    pack = Struct(f"={sum(f.compare for f in fields(RuntimeState)) + 2}I").pack
     comp_ids: dict[Any, int] = {}  # component value -> id, one id per == class
-    # the edge labels of this walk: one shared (records, obs) pair per
-    # distinct record list, and one shared tuple per distinct obs
-    labels: dict[tuple[Record, ...], tuple[tuple[Record, ...], tuple[tuple[str, str], ...]]] = {}
-    observed: dict[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]] = {}
+    labels: list[Label] = []
+    label_ids: dict[tuple[int, ...], int] = {}  # the ids of a label's records -> label id
+    observed: dict[Obs, Obs] = {}  # one shared tuple per distinct obs
     made: dict[tuple, Record] = {}  # the records of this walk, by their inputs (see `K._render`)
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
-    # frames of the nodes being expanded: memo key, state components, state,
-    # scenario index, depth (records on the path), step iterator, edges so
-    # far, and the label of the edge from the frame below
+    # frames of the nodes being expanded: memo key, its component ids, state
+    # components, state, scenario index, depth (records on the path), step
+    # iterator, the edges so far as child and label ids in a row, and the
+    # label of the edge from the frame below
     stack: list[tuple] = []
 
-    def finish(key: tuple, node: Node, label: Optional[tuple]) -> None:
+    def finish(key: bytes, edges: list[int], term: bool, lab: Optional[int]) -> None:
         """Numbers a finished new node, children before parents so that the
-        root is last, and links it by `label` to the frame on top of the stack."""
-        nodes.append(node)
-        keymap[key] = len(nodes) - 1
+        root is last, stores its edges and links it by `lab` to the frame on
+        top of the stack."""
+        child.extend(edges[::2])
+        label.extend(edges[1::2])
+        first.append(len(child))
+        terminal.append(term)
+        keymap[key] = len(terminal) - 1
         if stack:
-            stack[-1][6].append(Edge(label[0], len(nodes) - 1, label[1]))
+            stack[-1][7].extend((len(terminal) - 1, lab))
 
-    def visit(st: RuntimeState, idx: int, depth: int, label: Optional[tuple]) -> None:
-        """The node of (st, idx, depth), reached by `label`; a new node with
+    def visit(st: RuntimeState, idx: int, depth: int, lab: Optional[int]) -> None:
+        """The node of (st, idx, depth), reached by `lab`; a new node with
         steps goes on the stack, to be finished after its last child."""
         comps = st.key()
         if stack:  # a component the step left identical keeps the parent's id
-            pkey, pcomps = stack[-1][:2]
+            pids, pcomps = stack[-1][1:3]
             ids = [
                 p if c is pc else comp_ids.setdefault(c, len(comp_ids))
-                for c, pc, p in zip(comps, pcomps, pkey)
+                for c, pc, p in zip(comps, pcomps, pids)
             ]
         else:
             ids = [comp_ids.setdefault(c, len(comp_ids)) for c in comps]
-        key = (*ids, idx, depth)
+        key = pack(*ids, idx, depth)
         nid = keymap.get(key)
         if nid is not None:  # never the root: the stack holds its parent
-            stack[-1][6].append(Edge(label[0], nid, label[1]))
+            stack[-1][7].extend((nid, lab))
             return
         stats.nodes += 1
         steps = K.enabled_steps(ctx, st)
         if steps and (depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool):
             stats.truncated += 1
         elif steps:
-            stack.append((key, comps, st, idx, depth, iter(steps), [], label))
+            stack.append((key, ids, comps, st, idx, depth, iter(steps), [], lab))
             return
         elif idx < scn_len:
             stats.deadlocks += 1
-        finish(key, Node(terminal=not steps and idx >= scn_len), label)
+        finish(key, [], not steps and idx >= scn_len, lab)
 
     boot_records: list[Record] = []
-    st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records)
+    st0, idx0 = advance_scenario(ctx, K.boot(ctx), scenario, 0, boot_records, made)
     visit(st0, idx0, len(boot_records), None)
     while stack:
-        key, _, st, idx, depth, steps, edges, label = stack[-1]
+        key, _, _, st, idx, depth, steps, edges, lab = stack[-1]
         step = next(steps, None)
         if step is None:
             stack.pop()
-            finish(key, Node(tuple(edges)), label)
+            finish(key, edges, False, lab)
             continue
         st2, rec = K.apply(ctx, st, step, made)
         recs = [rec]
-        st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs)
-        records = tuple(recs)
-        label = labels.get(records)
-        if label is None:
+        st3, idx2 = advance_scenario(ctx, st2, scenario, idx, recs, made)
+        rids = tuple(map(id, recs))  # equal records are one object (see `made`)
+        lab = label_ids.get(rids)
+        if lab is None:
             obs = tuple(r.obs for r in recs if r.obs is not None)
-            label = labels[records] = (records, observed.setdefault(obs, obs))
-        visit(st3, idx2, depth + len(recs), label)
+            lab = label_ids[rids] = len(labels)
+            labels.append((tuple(recs), observed.setdefault(obs, obs)))
+        visit(st3, idx2, depth + len(recs), lab)
         stats.edges += 1
 
-    result = TraceSet(
-        ctx=ctx,
-        scenario=scenario,
-        bounds=bnd,
-        nodes=nodes,
-        root_records=tuple(boot_records),
-        stats=stats,
-    )
+    result = TraceSet(ctx, scenario, bnd, first, child, label, terminal, labels, tuple(boot_records), stats)
     stats.discard_traces = result._count(_flag_monitor(_discards, True))
     return result
-

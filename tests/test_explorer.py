@@ -143,24 +143,27 @@ def assert_walk_matches_the_tree(m, scn, bounds=ExploreBounds()):
     # the DAG's leaves do not say why they end, so deadlocks and cuts
     # compare as counts
     assert (ts.stats.deadlocks > 0, ts.stats.truncated > 0) == ("deadlock" in kinds, "cut" in kinds)
+    # the arrays: node n's edges are first[n]:first[n + 1], every child is
+    # numbered before its parent (no edge closes a cycle) and the root is
+    # last; and no label emits more than one observable, which `partition`
+    # relies on when it groups edges by their obs
+    first, child, label = list(ts.first), list(ts.child), list(ts.label)
+    assert len(first) == len(ts.terminal) + 1 == ts.stats.nodes + 1 and ts.root == ts.stats.nodes - 1
+    assert first[0] == 0 and first[-1] == len(child) == len(label) == ts.stats.edges
+    assert all(a <= b for a, b in zip(first, first[1:]))
+    assert all(child[i] < nid for nid in range(ts.stats.nodes) for i in range(first[nid], first[nid + 1]))
+    assert max(label, default=-1) < len(ts.labels) and all(len(obs) <= 1 for _, obs in ts.labels)
     # the DAG unfolds into the tree: a node stands for one tree node per
     # path from the root to it
-    paths = [0] * len(ts.nodes)
+    paths = [0] * ts.stats.nodes
     paths[ts.root] = 1
-    for nid in reversed(range(len(ts.nodes))):
-        for e in ts.nodes[nid].edges:
-            paths[e.child] += paths[nid]
+    for nid in reversed(range(ts.stats.nodes)):
+        for i in range(first[nid], first[nid + 1]):
+            paths[child[i]] += paths[nid]
     assert ts.stats.nodes <= sum(paths) == leaves[-1].node + 1
     assert not ts.truncated_traces
     assert [t.records for t in ts.traces] == [r.trace.records for r in complete]
     assert [verdict_json(v) for v in ts.check_all()] == tree_verdicts(ctx, scn, complete, "cut" in kinds)
-    # no edge closes a cycle: every child is numbered before its parent,
-    # and the root is last; and no edge emits more than one observable,
-    # which `partition` relies on when it groups edges by their obs
-    assert ts.root == len(ts.nodes) - 1
-    for nid, node in enumerate(ts.nodes):
-        assert all(e.child < nid for e in node.edges)
-        assert all(len(e.obs) <= 1 for e in node.edges)
     return ts
 
 
@@ -383,7 +386,9 @@ WITNESS_BOUNDS = {
 ])
 def test_class_witnesses_match_the_monitor_search(case, request):
     # the class-keyed search finds, for every class, the path the search per
-    # DAG node finds: a dead end holds for every node of its class
+    # DAG node finds: a dead end holds for every node of its class, and for
+    # every sequence with the same suffix, so one call for all classes (as a
+    # capped `traces` makes) finds what one call per class finds
     kind, arg, bound = case
     if kind == "fixture":
         m = machine(arg[0])
@@ -394,14 +399,15 @@ def test_class_witnesses_match_the_monitor_search(case, request):
     else:
         m, scn = request.getfixturevalue("s2")
     ts = explore(m, scn, bounds=WITNESS_BOUNDS[bound])
-    for seq in ts.partition:
-        assert ts._class_witness(seq).records == monitor_witness(ts, seq), seq
+    want = [monitor_witness(ts, seq) for seq in ts.partition]
+    assert [next(ts._class_witnesses((seq,))).records for seq in ts.partition] == want
+    assert [w.records for w in ts._class_witnesses(ts.partition)] == want
 
 
 def test_class_witness_reads_no_partition_first():
     # the node -> class list the search reads does not wait for `partition`
     ts = explored("do-simple")
-    assert ts._class_witness(()).records == monitor_witness(ts, ())
+    assert next(ts._class_witnesses([()])).records == monitor_witness(ts, ())
     assert "partition" not in vars(ts)
 
 
@@ -580,7 +586,8 @@ def s2():
     """The generated two-sensor machine and scenario, indexed."""
     gen = runpy.run_path(str(Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"))
     m = parse_model(gen["machine_text"](2)).model
-    return build_index(m), parse_scenario(gen["scenario_text"](2), m).scenario
+    expectations = ("eventually-active M_1", "never-discards ok_0", "emits m_0")  # as the benchmark's
+    return build_index(m), parse_scenario(gen["scenario_text"](2, expectations), m).scenario
 
 
 def test_partition_folds_over_a_smaller_quotient(s2):
@@ -618,12 +625,34 @@ def test_no_complete_trace_gives_an_empty_quotient():
 
 
 def test_equal_edge_labels_are_shared(s2):
+    # one label per distinct record list, one object per distinct record and obs
     ts = explore(*s2)
+    assert len(ts.labels) == len({records for records, _ in ts.labels})
+    records = [r for rs, _ in ts.labels for r in rs]
+    assert len({id(r) for r in records}) == len(set(records))
+    assert len({id(obs) for _, obs in ts.labels}) == len({obs for _, obs in ts.labels})
+    # the `nodes` view shares them too
     edges = [e for node in ts.nodes for e in node.edges]
-    assert len({id(e.records) for e in edges}) == len({e.records for e in edges})
+    assert len({id(e.records) for e in edges}) == len({e.records for e in edges}) == len(ts.labels)
     assert len({id(e.obs) for e in edges}) == len({e.obs for e in edges})
     assert not hasattr(edges[0], "__dict__")
     assert not hasattr(ts.nodes[0], "__dict__")
+
+
+def test_queries_build_no_node_objects(s2):
+    # the walk and every query run on the arrays; only readers outside the
+    # explorer build the `nodes` view
+    m = machine("accept-race")
+    text = "scenario s { inject e1; expect emits got; expect eventually-active S2; expect never-discards e1; }"
+    capped, whole = explore(*s2), explore(m, parse_scenario(text, m).scenario)
+    for ts in (capped, whole):
+        assert len(ts.check_all()) == 3
+        ts.signal_partition(), ts.normalized_partition(), ts.find_trace(("got",))
+    assert capped.truncated_traces and len(capped.traces) == len(capped.partition)
+    assert whole.traces and not whole.truncated_traces
+    for ts in (capped, whole):
+        assert "nodes" not in vars(ts)
+        assert len(ts.nodes) == ts.stats.nodes and sum(len(n.edges) for n in ts.nodes) == ts.stats.edges
 
 
 def test_memo_key_is_built_once_per_visit(s2, monkeypatch):
@@ -632,17 +661,20 @@ def test_memo_key_is_built_once_per_visit(s2, monkeypatch):
     monkeypatch.setattr(RuntimeState, "key", lambda st: calls.append(st) or key(st))
     ts = explore(*s2)
     # the root, then the child of every edge
-    assert (len(ts.nodes), ts.stats.edges, len(calls)) == (885, 1477, 1478)
+    assert (ts.stats.nodes, ts.stats.edges, len(calls)) == (885, 1477, 1478)
 
 
 def test_dag_bytes_per_node(s2):
-    # about 1,770 B a node when every edge held its own records; about 840
-    # (3.11) to 950 (3.10) with shared labels and slotted edges and nodes
+    # about 460 B a node (3.11) with shared labels and slotted `Node` and
+    # `Edge` objects, 260 with the DAG in arrays. The walk's garbage is
+    # collected first: without that, the blocks it left on the interpreter's
+    # free lists count too (about 630 B a node with arrays)
     gc.collect()
     tracemalloc.start()
     try:
         ts = explore(*s2)
+        gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / len(ts.nodes) <= 1200
+    assert held / ts.stats.nodes <= 340

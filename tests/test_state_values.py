@@ -23,6 +23,7 @@ from statebench.engine.state import DoThread, RuntimeState
 from statebench.engine.steps import StepKind
 from statebench.explorer import explore
 from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
+from statebench.scenario import Inject
 
 
 def rebuilt(value):
@@ -118,7 +119,7 @@ def checked(monkeypatch):
 
     monkeypatch.setattr(kernel, "enabled_steps", checking_enabled)
     monkeypatch.setattr(kernel, "apply", checking_apply)
-    monkeypatch.setattr(kernel, "inject", lambda ctx, st, signal: successor(inject, ctx, st, signal))
+    monkeypatch.setattr(kernel, "inject", lambda ctx, st, signal, *made: successor(inject, ctx, st, signal, *made))
     return counts
 
 
@@ -132,17 +133,22 @@ def test_updates_keep_value_semantics(model_name, scn_name, checked):
 
 
 def walk_records(monkeypatch, m, scn) -> list:
-    """Every record `apply` returns in one walk of `scn`, in call order."""
-    got, apply = [], kernel.apply
+    """Every record `apply` and `inject` return in one walk of `scn`, in call order."""
+    got, calls = [], {"apply": kernel.apply, "inject": kernel.inject}
 
-    def recording(*args):
-        post, record = apply(*args)
-        got.append(record)
-        return post, record
+    def recording(call):
+        def recorded(*args):
+            post, record = call(*args)
+            got.append(record)
+            return post, record
+        return recorded
 
-    monkeypatch.setattr(kernel, "apply", recording)
+    for name, call in calls.items():
+        monkeypatch.setattr(kernel, name, recording(call))
     explore(m, scn)
-    monkeypatch.setattr(kernel, "apply", apply)
+    for name, call in calls.items():
+        monkeypatch.setattr(kernel, name, call)
+    assert any(r.kind == "Inject" for r in got) == any(isinstance(s, Inject) for s in scn.steps)
     return got
 
 
