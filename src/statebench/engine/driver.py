@@ -98,7 +98,7 @@ def advance_scenario(
     scenario: Optional[S.Scenario],
     idx: int,
     records: list[Record],
-    made: Optional[dict[tuple, Record]] = None,
+    made: Optional[dict] = None,
 ) -> tuple[RuntimeState, int]:
     """Consume scenario steps as far as stability allows. Injections are
     forced moves, not scheduling choices; they land in `records`. `made` is

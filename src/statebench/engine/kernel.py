@@ -17,6 +17,18 @@ looked up by equality in `enabled_steps` first; KernelError if it is not
 there. `inject` is the environment's entry, not an enabled step: it adds a
 signal to the pool and renders its record as `apply` does.
 
+A walk may hand `enabled_steps`, `apply` and `inject` one table, `made`, kept
+for the walk; `explore` does, and without one (`run`, replay) the kernel
+makes no lookups. Each entry is a function of its key: a do or leg thread's
+sorted step group under the thread value, and a pending dispatch's option
+steps under the `PendingDispatch` value, each rebound to the current state
+by a field copy; the do thread an InitDoActivity, RunAction or
+RegisterDoAccept step leaves, under (step kind, thread, node); and each
+rendered record, under its inputs. One group is never kept: that of a do
+thread with a registered wait point while the deferred pool is not empty,
+whose ConsumeDeferred operand names an occurrence of that very pool, which
+`apply` removes by identity.
+
 Scheduling model
 ----------------
 Logical threads: the dispatcher ("sm"), one thread per compound transition
@@ -497,7 +509,7 @@ def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep
             # also mid-RTC; FIFO within the pool
             items = (("node", nid), ("occ", occ.brief()))
             steps.append(_step(st, (th, nid, occ), StepKind.CONSUME_DEFERRED, label, *items))
-    return steps
+    return _by_key(steps)
 
 
 def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroStep]:
@@ -509,7 +521,7 @@ def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroS
     prog = ctx.programs[step.activity]
     where = ("transition", step.transition) if step.transition else ("state", dotted(step.path))
     about = (("activity", step.activity), where)
-    return [_step(st, (leg, n), step.kind, label, ("node", n), ("do", describe(prog.nodes[n])), *about) for n in leg.exec.strands]
+    return _by_key(_step(st, (leg, n), step.kind, label, ("node", n), ("do", describe(prog.nodes[n])), *about) for n in leg.exec.strands)
 
 
 _OPTION_KIND = {
@@ -530,25 +542,50 @@ def _option_step(st: RuntimeState, option: tuple) -> MicroStep:
     return _step(st, option, _OPTION_KIND[option[0]], "sm", *items)
 
 
+def _option_steps(ctx: ModelIndex, st: RuntimeState, pending: PendingDispatch) -> list[MicroStep]:
+    return _by_key(_option_step(st, o) for o in pending.options)
+
+
 def _by_key(steps) -> list[MicroStep]:
     return sorted(steps, key=MicroStep.key)
 
 
-def enabled_steps(ctx: ModelIndex, st: RuntimeState) -> list[MicroStep]:
+def _group(build, ctx: ModelIndex, st: RuntimeState, value, made: Optional[dict]) -> list[MicroStep]:
+    """`build(ctx, st, value)`, the sorted step group of `value` (a thread,
+    or the pending dispatch) in `st`. With a table it is built once per
+    equal `value` and kept in `made` under it, and each call rebinds the
+    kept steps to `st` by a field copy, which reuses their keys."""
+    if made is None:
+        return build(ctx, st, value)
+    group = made.get(value)
+    if group is None:
+        group = made[value] = build(ctx, st, value)
+    return [_evolve(s, state=st) for s in group]
+
+
+def enabled_steps(ctx: ModelIndex, st: RuntimeState, made: Optional[dict] = None) -> list[MicroStep]:
     """Every micro-step some logical thread could take next, in canonical
     order. Empty exactly when the machine is stable with a fully drained
-    environment and no runnable doActivity work."""
+    environment and no runnable doActivity work.
+
+    `made` is the caller's per-walk table (see the module docstring); with
+    one, each do or leg thread's step group, under the thread value, and a
+    pending dispatch's option steps, under the `PendingDispatch` value, are
+    built once and rebound to `st` by `_group`. Without one, or for a do
+    thread with a registered wait point while the deferred pool is not
+    empty (its ConsumeDeferred step names an occurrence of this very pool,
+    which `apply` removes by identity), the group is built afresh."""
     # a pending dispatch decision is committed before anything else moves
     if st.pending is not None:
-        return _by_key(_option_step(st, o) for o in st.pending.options)
+        return _group(_option_steps, ctx, st, st.pending, made)
 
     steps = []
     for th in st.threads:
         if isinstance(th, DoThread) and not th.finished:
-            steps += _by_key(_do_steps(ctx, st, th))
+            steps += _group(_do_steps, ctx, st, th, None if th.waiting and st.deferred else made)
     for th in st.threads:
         if isinstance(th, LegThread):
-            steps += _by_key(_leg_steps(ctx, st, th))
+            steps += _group(_leg_steps, ctx, st, th, made)
     steps += _by_key(_step(st, occ, StepKind.DELIVER, "net", ("occ", occ.brief())) for occ in st.in_flight)
 
     # a detected completion is generated before any dispatch; the
@@ -591,13 +628,40 @@ def _advance_leg(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> RuntimeSt
     return st
 
 
+_THREAD_STEPS = (StepKind.INIT_DO, StepKind.RUN_ACTION, StepKind.REGISTER_ACCEPT)
+
+
+def _thread_after(ctx: ModelIndex, kind: StepKind, th: DoThread, nid: Optional[int]) -> DoThread:
+    """Do thread `th` after its step of `kind` (one of `_THREAD_STEPS`) at
+    node `nid`: a function of these alone. RunAction's effect on the rest
+    of the state is `_exec_node`'s."""
+    if kind is StepKind.INIT_DO:
+        strands = (ctx.runs[th.activity],) if th.activity in ctx.runs else ()
+        return _evolve(th, invocation=None, exec=ActivityExec(strands))
+    if kind is StepKind.REGISTER_ACCEPT:
+        return _evolve(th, waiting=tuple(sorted(th.waiting + (nid,))))
+    prog = ctx.programs[th.activity]
+    node = prog.nodes[nid]
+    if node.kind == "accept":
+        th = _evolve(th, local=tuple(e for e in th.local if e[0] != nid))
+    th = _evolve(th, exec=_advance_exec(prog, th.exec, nid))
+    if node.kind == "final":
+        th = _evolve(th, waiting=(), local=())
+    return th
+
+
 def apply(
-    ctx: ModelIndex, st: RuntimeState, step: MicroStep, made: Optional[dict[tuple, Record]] = None
+    ctx: ModelIndex, st: RuntimeState, step: MicroStep, made: Optional[dict] = None
 ) -> tuple[RuntimeState, Record]:
     """Applies one micro-step, returning the successor state and the trace
     record. A step is applicable iff `enabled_steps(ctx, st)` lists it.
-    `made` is the caller's table of the records rendered so far (see
-    `_render`); without one the call gets a fresh table.
+
+    `made` is the caller's per-walk table. It keeps the records rendered so
+    far (see `_render`), and the do thread that each InitDoActivity,
+    RunAction and RegisterDoAccept step leaves, under (step kind, thread,
+    node): equal thread steps return one shared thread, while RunAction's
+    effects on the rest of the state run on every call. Without a table
+    the call builds its successor thread and renders its record afresh.
 
     A step that `enabled_steps` built for this very `st` acts on the operand
     it carries. Any other step (built by hand, or enabled in another state)
@@ -642,26 +706,17 @@ def apply(
             st = st.with_thread(_route(st.thread(tid), node, occ))
         # "discard": the occurrence is dropped
 
-    elif step.kind is StepKind.INIT_DO:
-        strands = (ctx.runs[arg.activity],) if arg.activity in ctx.runs else ()
-        st = st.with_thread(_evolve(arg, invocation=None, exec=ActivityExec(strands)))
-
-    elif step.kind is StepKind.RUN_ACTION:
-        th, nid = arg
-        prog = ctx.programs[th.activity]
-        node = prog.nodes[nid]
-        if node.kind == "accept":
-            th = _evolve(th, local=tuple(e for e in th.local if e[0] != nid))
-        st, obs = _exec_node(ctx, st, prog, nid, th.state[:-1])
-        ex = _advance_exec(prog, th.exec, nid)
-        th = _evolve(th, exec=ex)
-        if node.kind == "final":
-            th = _evolve(th, waiting=(), local=())
-        st = st.with_thread(th)
-
-    elif step.kind is StepKind.REGISTER_ACCEPT:
-        th, nid = arg
-        st = st.with_thread(_evolve(th, waiting=tuple(sorted(th.waiting + (nid,)))))
+    elif step.kind in _THREAD_STEPS:
+        th, nid = (arg, None) if step.kind is StepKind.INIT_DO else arg
+        if step.kind is StepKind.RUN_ACTION:
+            st, obs = _exec_node(ctx, st, ctx.programs[th.activity], nid, th.state[:-1])
+        key = (step.kind, th, nid)
+        after = None if made is None else made.get(key)
+        if after is None:
+            after = _thread_after(ctx, *key)
+            if made is not None:
+                made[key] = after
+        st = st.with_thread(after)
 
     elif step.kind is StepKind.CONSUME_DEFERRED:
         th, nid, occ = arg
@@ -740,7 +795,7 @@ def apply(
 
 
 def _render(
-    ctx: ModelIndex, pre: RuntimeState, st: RuntimeState, step: MicroStep, obs, extra, made: dict[tuple, Record]
+    ctx: ModelIndex, pre: RuntimeState, st: RuntimeState, step: MicroStep, obs, extra, made: dict
 ) -> tuple[RuntimeState, Record]:
     """Settles completions in the successor `st` of `pre` and renders the
     record of `step`, shared by `apply` and `inject`. A record is a function
@@ -787,11 +842,11 @@ def boot(ctx: ModelIndex) -> RuntimeState:
 
 
 def inject(
-    ctx: ModelIndex, st: RuntimeState, signal: str, made: Optional[dict[tuple, Record]] = None
+    ctx: ModelIndex, st: RuntimeState, signal: str, made: Optional[dict] = None
 ) -> tuple[RuntimeState, Record]:
     """The environment's entry: `signal` joins the regular pool. Not an
     enabled step; `run` and `explore` call it at stable points only. `made`
-    is the caller's table of the records rendered so far, as for `apply`."""
+    is the caller's per-walk table, whose records it shares as `apply` does."""
     if signal not in ctx.model.signals:
         raise KernelError(f"unknown signal {signal}")
     occ = SignalOccurrence(signal, st.next_seq)

@@ -45,13 +45,33 @@ def _evolve(value, **changes):
     RuntimeState. Filled in place, the dict keeps sharing its keys with the
     class's other instances; a dict built apart would not, and would double
     the size of every thread that the explorer's memo keys hold. These
-    values have no `__post_init__` and no slots, so the copy is equal to,
-    and hashes like, the value `__init__` would build."""
+    values have no `__post_init__` and no slots, and the copy drops the hash
+    its original kept (see `_keeps_hash`), so it is equal to, and hashes
+    like, the value `__init__` would build."""
     new = object.__new__(type(value))
     fields = new.__dict__
     fields.update(value.__dict__)
     fields.update(changes)
+    fields.pop("_hash", None)
     return new
+
+
+def _keeps_hash(cls):
+    """Makes the frozen dataclass `cls` keep its hash in the instance dict
+    once computed: the hash of its compared fields' tuple, as the generated
+    `__hash__` computes it. Threads are hashed by the explorer's memo keys
+    and the kernel's per-walk tables, where equal thread steps share one
+    successor, so most of their hashes are read, not computed."""
+    compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
+
+    def __hash__(self) -> int:
+        kept = self.__dict__.get("_hash")
+        if kept is None:
+            kept = self.__dict__["_hash"] = hash(compared(self))
+        return kept
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 # --- logical threads ---------------------------------------------------
@@ -72,6 +92,7 @@ class LegStep:
     spawn: bool = False            # spawn child region legs once this step is done
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class ActivityExec:
     """Progress inside one behavior execution: live strands plus join counters."""
@@ -80,6 +101,7 @@ class ActivityExec:
     joins: tuple[tuple[int, int], ...] = ()   # (join node id, arrivals still missing)
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class LegThread:
     tid: int
@@ -98,6 +120,7 @@ class LegThread:
         return f"leg{self.tid}"
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class DoThread:
     """A running doActivity. It owns its start event until InitDoActivity

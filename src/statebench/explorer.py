@@ -20,11 +20,16 @@ n's edges are `first[n]` up to `first[n + 1]`, edge i leads to `child[i]` by
 the label `labels[label[i]]`, and `terminal[n]` is 1 at a terminal node. A
 label is a `(records, obs)` pair: the edge's records (the step's, then any
 forced injections) and their observables, one per distinct record list and
-shared by every edge that has it. `explore` hands `K.apply` and `K.inject` a
-table of the records rendered so far, so each distinct record is built once
-and labels are looked up by their records' identities. These tables are
-local to the walk. `TraceSet.nodes` builds `Node` and `Edge` objects from the
-arrays on first read, for readers outside this module; no query reads it.
+shared by every edge that has it. `explore` hands `K.enabled_steps`,
+`K.apply` and `K.inject` one table for the walk (see the kernel's module
+docstring). In it each distinct thread's step group, each distinct do
+thread step's successor thread and each distinct record is built once,
+except the steps of a do thread with a registered wait point while the
+deferred pool is not empty, which are built afresh. So labels are looked up
+by their records' identities, and the memo key's `threads` component mostly
+reads the hashes its shared threads keep. These tables are local to the
+walk. `TraceSet.nodes` builds `Node` and `Edge` objects from the arrays on
+first read, for readers outside this module; no query reads it.
 
 A node's memo key packs small ints into one `bytes`: one id per compared
 `RuntimeState` field, then the scenario index and the depth. One table local
@@ -514,7 +519,7 @@ def explore(
     labels: list[Label] = []
     label_ids: dict[tuple[int, ...], int] = {}  # the ids of a label's records -> label id
     observed: dict[Obs, Obs] = {}  # one shared tuple per distinct obs
-    made: dict[tuple, Record] = {}  # the records of this walk, by their inputs (see `K._render`)
+    made: dict = {}  # the kernel's table for this walk: step groups, successor threads, records
     stats = ExploreStats()
     scn_len = len(scenario.steps) if scenario else 0
     # frames of the nodes being expanded: memo key, its component ids, state
@@ -553,7 +558,7 @@ def explore(
             stack[-1][7].extend((nid, lab))
             return
         stats.nodes += 1
-        steps = K.enabled_steps(ctx, st)
+        steps = K.enabled_steps(ctx, st, made)
         if steps and (depth >= bnd.max_micro_steps or st.pool_load() > bnd.max_pool):
             stats.truncated += 1
         elif steps:

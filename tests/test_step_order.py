@@ -52,8 +52,8 @@ def checked(monkeypatch):
     seen: list[list[str]] = []
     inner = kernel.enabled_steps
 
-    def checking(ctx, st):
-        steps = inner(ctx, st)
+    def checking(ctx, st, *made):
+        steps = inner(ctx, st, *made)
         ranks = [(expected_rank(s.thread), s.key()) for s in steps]
         assert ranks == sorted(ranks), [s.key() for s in steps]
         seen.append([s.thread for s in steps])
