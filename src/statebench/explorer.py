@@ -41,20 +41,21 @@ components are hashed. Two keys are equal exactly when the states' `key()`
 tuples are; hash compaction or bitstate hashing would store less, but would
 let two states share a key now and then and lose the exact counts.
 
-Every query runs on three iterative passes, so no depth of the DAG can
-exhaust the interpreter's stack: `_count(monitor)`, the exact number of
-complete traces a monitor accepts, one pass from the root down over the
-product of the DAG and the monitor's states; `_accepted(monitor)`, the
-complete record paths it accepts in canonical edge order (the order the
-kernel enabled them), never entering again a (node, state) pair that led to
-no accepted path; and `_class_witnesses(seqs)`, below. A monitor is a triple
-`(start, step, accept)`: the state at the root, `step(state, label)` giving
-the state after an edge with that label (None rejects every path through
-it), and `accept(state)`, judged at a terminal node. `total`, the discard
-count and the `eventually-active` and `never-discards` expectations are
-monitors, whose witness and counterexample are the first passing and the
-first failing path. S becomes active exactly on an `EnterState` record
-whose `state` is S's dotted path.
+Every query is an iterative pass, so no depth of the DAG can exhaust the
+interpreter's stack. `_below(hit)` gives each node the number of complete
+traces below it that take no edge whose label `hit` holds on (all of them
+without `hit`), in one pass in id order, judging `hit` once per label.
+`total` is the root's count, the discard count is `total` less the root's
+count of paths with no discard, and the `eventually-active` and
+`never-discards` expectations are such flags (S becomes active exactly on
+an `EnterState` record whose `state` is S's dotted path). From these counts
+`_unrank(k, ...)` reads the k-th complete record path in canonical edge
+order (the order the kernel enabled them) with no search, as in counting
+generation (Flajolet, Zimmermann and Van Cutsem, 1994): at each node it
+takes the first edge whose child has more than k wanted paths below, and
+takes each earlier edge's count off k. The untruncated `traces` are k =
+0 .. total - 1, and a flag's witness and counterexample are the first path
+on each side. `_class_witnesses(seqs)` is below.
 
 `partition` runs on the DAG's observational quotient, which merges nodes
 whose complete traces below emit equal multisets of observable sequences:
@@ -97,7 +98,7 @@ from __future__ import annotations
 from array import array
 from struct import Struct
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -161,10 +162,8 @@ class ExpectationVerdict:
 if TYPE_CHECKING:  # aliases for annotations only
     Obs = tuple[tuple[str, str], ...]
     Label = tuple[tuple[Record, ...], Obs]  # an edge's records and their observables
-    Monitor = tuple[Any, Callable[[Any, Label], Any], Callable[[Any], bool]]  # start, step, accept
+    Hit = Optional[Callable[[Label], bool]]  # a flag on edge labels
     Paths = dict[Obs, dict[int, int]]  # obs -> class id -> paths
-
-_EVERY: Monitor = (True, lambda s, e: s, lambda s: True)
 
 
 def _merge(into: Paths, paths: Paths, w: int) -> None:
@@ -173,12 +172,6 @@ def _merge(into: Paths, paths: Paths, w: int) -> None:
         acc = into.setdefault(obs, {})
         for c, m in dests.items():
             acc[c] = acc.get(c, 0) + w * m
-
-
-def _flag_monitor(hit: Callable[[Label], bool], want: bool) -> Monitor:
-    """Whether `hit` held on some followed edge's label; accepts the paths
-    where that equals `want`."""
-    return False, (lambda s, lab: s or hit(lab)), (lambda s: s == want)
 
 
 def _discards(lab: Label, prefix: str = "") -> bool:
@@ -229,62 +222,39 @@ class TraceSet:
 
     # -- the generic queries -------------------------------------------------
 
-    def _count(self, monitor: Monitor) -> int:
-        """Exact number of complete traces `monitor` accepts. Nodes are
-        numbered children first, so in reverse each node's row (monitor state
-        -> paths from the root) is whole when it is read, and freed then."""
-        start, step, accept = monitor
-        first, child, label, labels, terminal = self.first, self.child, self.label, self.labels, self.terminal
-        rows: dict[int, dict[Any, int]] = {self.root: {start: 1}}
-        count = 0
-        for nid in reversed(range(len(terminal))):
-            row = rows.pop(nid)  # the root's, or filled in by an edge into the node
-            if terminal[nid]:
-                count += sum(cnt for s, cnt in row.items() if accept(s))
-            for i in range(first[nid], first[nid + 1]):  # none at leaves: terminal, deadlocked, truncated
-                below = rows.setdefault(child[i], {})
-                lab = labels[label[i]]
-                for s, cnt in row.items():
-                    s2 = step(s, lab)
-                    if s2 is not None:
-                        below[s2] = below.get(s2, 0) + cnt
-        return count
+    def _below(self, hit: Hit = None) -> list[int]:
+        """Per node, the number of complete traces below it that take no edge
+        whose label `hit` holds on; ids are children first, so each child is
+        counted before its parents."""
+        first, child, label = self.first, self.child, self.label
+        bad = bytes(map(hit, self.labels)) if hit else bytes(len(self.labels))
+        below: list[int] = []
+        for nid, term in enumerate(self.terminal):  # a terminal node has no edges
+            out = range(first[nid], first[nid + 1])
+            below.append(term + sum(below[child[i]] for i in out if not bad[label[i]]))
+        return below
 
-    def _accepted(self, monitor: Monitor) -> Iterator[tuple[Record, ...]]:
-        """Record paths of the complete traces `monitor` accepts, in
-        canonical edge order."""
-        start, step, accept = monitor
+    def _unrank(self, k: int, hit: Hit = None, want: bool = False, avoid: Optional[list[int]] = None) -> tuple[Record, ...]:
+        """The k-th complete record path, in canonical edge order, among those
+        on which `hit` holds on some edge exactly when `want`, where `avoid`
+        is `_below(hit)`; without `hit` every path avoids it."""
         first, child, label, labels, terminal = self.first, self.child, self.label, self.labels, self.terminal
-        root, path = self.root, list(self.root_records)
-        if terminal[root]:
-            if accept(start):
-                yield tuple(path)
-            return
-        dead: set[tuple[int, Any]] = set()
-        # frame: node id, monitor state, edge iterator, path length, yielded
-        stack = [[root, start, iter(range(first[root], first[root + 1])), len(path), False]]
-        while stack:
-            frame = stack[-1]
-            _, s, edges, mark, _ = frame
-            for i in edges:
-                lab, c = labels[label[i]], child[i]
-                s2 = step(s, lab)
-                if s2 is None or (c, s2) in dead:
-                    continue
-                del path[mark:]
-                path.extend(lab[0])
-                if not terminal[c]:
-                    stack.append([c, s2, iter(range(first[c], first[c + 1])), len(path), False])
+        every = self._every
+        avoid = every if hit is None else avoid
+        bad = bytes(map(hit, labels)) if hit else bytes(len(labels))
+        nid, seen, path = self.root, False, list(self.root_records)
+        while not terminal[nid]:
+            for i in range(first[nid], first[nid + 1]):
+                c, s = child[i], seen or bad[label[i]]
+                n = (every[c] if want else 0) if s else (every[c] - avoid[c] if want else avoid[c])
+                if k < n:
+                    nid, seen = c, s
+                    path.extend(labels[label[i]][0])
                     break
-                if accept(s2):
-                    frame[4] = True
-                    yield tuple(path)
-            else:
-                stack.pop()
-                if not frame[4]:
-                    dead.add((frame[0], s))
-                elif stack:
-                    stack[-1][4] = True
+                k -= n
+            else:  # also at a leaf that is not terminal: no complete path below
+                raise ValueError("rank out of range")
+        return tuple(path)
 
     def _class_witnesses(self, seqs: Iterable[Obs]) -> Iterator[Trace]:
         """The class witness of each `seq` of `seqs` (keys of `partition`),
@@ -339,8 +309,12 @@ class TraceSet:
     # -- counting ----------------------------------------------------------
 
     @cached_property
+    def _every(self) -> list[int]:
+        return self._below()
+
+    @cached_property
     def total(self) -> int:
-        return self._count(_EVERY)
+        return self._every[self.root]
 
     # -- observable classes --------------------------------------------------
 
@@ -435,7 +409,7 @@ class TraceSet:
     @cached_property
     def traces(self) -> tuple[Trace, ...]:
         if not self.truncated_traces:
-            return tuple(self._mk_trace(p) for p in self._accepted(_EVERY))
+            return tuple(self._mk_trace(self._unrank(k)) for k in range(self.total))
         return tuple(self._class_witnesses(islice(self.partition, self.bounds.max_traces)))
 
     def find_trace(self, signals: tuple[str, ...]) -> Optional[Trace]:
@@ -463,24 +437,17 @@ class TraceSet:
             def first(ok: bool) -> Trace:  # the first observable class on that side
                 return next(self._class_witnesses((next(seq for seq in hit if hit[seq] == ok),)))
 
-        else:
-            if isinstance(exp, S.EventuallyActive):
-                target = dotted(self.ctx.model.state_refs[exp.state])
-
-                def monitor(ok: bool) -> Monitor:  # at the root nothing is active yet
-                    return _flag_monitor(lambda e: _enters(e, target), ok)
-
+        else:  # a flag: whether some edge of the path enters the state, or discards
+            if isinstance(exp, S.EventuallyActive):  # at the root nothing is active yet
+                flag, good_if = partial(_enters, state=dotted(self.ctx.model.state_refs[exp.state])), True
             else:
                 assert isinstance(exp, S.NeverDiscards)
-                prefix = exp.signal + "#"
-
-                def monitor(ok: bool) -> Monitor:
-                    return _flag_monitor(lambda e: _discards(e, prefix), not ok)
-
-            good = self._count(monitor(True))
+                flag, good_if = partial(_discards, prefix=exp.signal + "#"), False
+            avoid = self._below(flag)
+            good = self.total - avoid[self.root] if good_if else avoid[self.root]
 
             def first(ok: bool) -> Trace:
-                return self._mk_trace(next(self._accepted(monitor(ok))))
+                return self._mk_trace(self._unrank(0, flag, ok == good_if, avoid))
 
         if good == 0:
             verdict = "none"
@@ -591,5 +558,5 @@ def explore(
         stats.edges += 1
 
     result = TraceSet(ctx, scenario, bnd, first, child, label, terminal, labels, tuple(boot_records), stats)
-    stats.discard_traces = result._count(_flag_monitor(_discards, True))
+    stats.discard_traces = result.total - result._below(_discards)[result.root]
     return result

@@ -19,13 +19,13 @@ import pytest
 
 from conftest import FIXTURE_PAIRS, machine, scenario_for
 from flat_oracle import gen_flat_machine, gen_flat_scenario
-from hier_gen import features, gen_hier_machine, gen_hier_scenario, seeds_with
+from hier_gen import TRIGGERS, features, gen_hier_machine, gen_hier_scenario, seeds_with
 from tree_oracle import schedules
 from statebench.engine import BudgetExceeded, build_index, evaluate_run, run
 from statebench.engine.state import RuntimeState
 from statebench.explorer import ExploreBounds, explore
 from statebench.parser import parse_model, parse_scenario
-from statebench.scenario import Emits, EventuallyActive
+from statebench.scenario import Emits, EventuallyActive, NeverDiscards
 
 
 def explored(name, scn_name=None, **kw):
@@ -215,9 +215,23 @@ def assert_walk_matches_the_tree(m, scn, bounds=ExploreBounds()):
         ["some", "some"],
         id="par-final-stop",
     ),
+    # a regionless machine: its root is terminal, so the witnesses are the
+    # path of no edge; injected, the signal is discarded
+    pytest.param(
+        "machine m { signals a; }",
+        "scenario s { expect never-discards a; expect emits; }",
+        ["all", "all"],
+        id="regionless",
+    ),
+    pytest.param(
+        "machine m { signals a; }",
+        "scenario s { inject a; expect never-discards a; expect emits; }",
+        ["none", "all"],
+        id="regionless-inject",
+    ),
 ])
 def test_walk_matches_the_tree(name, text, verdicts):
-    m = machine(name)
+    m = parse_model(name).model if "{" in name else machine(name)
     scn = parse_scenario(text, m).scenario if text else scenario_for(name, m)
     ts = assert_walk_matches_the_tree(m, scn)
     if verdicts is not None:
@@ -282,8 +296,13 @@ GENERATED_BOUNDS = {"steps25": ExploreBounds(max_micro_steps=25), "pool1": Explo
       for seed in seeds_with("two dos alive at once")),
 ])
 def test_generated_hierarchical_walk_matches_the_tree(seed, bounds):
+    # on the same walk, also every flag: each state by its bare name
+    # entered, and each trigger never discarded
     m = gen_hier_machine(seed)
-    assert_walk_matches_the_tree(m, gen_hier_scenario(seed, m), bounds)
+    scn = gen_hier_scenario(seed, m)
+    flags = [EventuallyActive(ref) for ref in sorted(m.state_refs) if "." not in ref]
+    flags += [NeverDiscards(sig) for sig in TRIGGERS]
+    assert_walk_matches_the_tree(m, replace(scn, expectations=scn.expectations + tuple(flags)), bounds)
 
 
 def test_generated_hierarchical_machines_cover_every_feature():
