@@ -59,7 +59,7 @@ def expectation_text(e: S.Expectation) -> str:
     if isinstance(e, S.EventuallyActive):
         return f"eventually-active {e.state}"
     if isinstance(e, S.Emits):
-        return "emits " + ", ".join(e.signals)
+        return "emits " + ", ".join(e.signals) if e.signals else "emits"
     return f"never-discards {e.signal}"
 
 

@@ -24,10 +24,8 @@ sorted step group under the thread value, and a pending dispatch's option
 steps under the `PendingDispatch` value, each rebound to the current state
 by a field copy; the do thread an InitDoActivity, RunAction or
 RegisterDoAccept step leaves, under (step kind, thread, node); and each
-rendered record, under its inputs. One group is never kept: that of a do
-thread with a registered wait point while the deferred pool is not empty,
-whose ConsumeDeferred operand names an occurrence of that very pool, which
-`apply` removes by identity.
+rendered record, under its inputs. A do thread's ConsumeDeferred steps also
+read the deferred pool, so `enabled_steps` builds them anew beside its group.
 
 Scheduling model
 ----------------
@@ -491,7 +489,7 @@ def _routed(thread: DoThread, node: int) -> Optional[Occurrence]:
 def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep]:
     label = th.label()
     if th.invocation is not None:
-        return [_step(st, th, StepKind.INIT_DO, label, ("occ", th.invocation.brief()), ("state", dotted(th.state)))]
+        return [_step(st, (th, None), StepKind.INIT_DO, label, ("occ", th.invocation.brief()), ("state", dotted(th.state)))]
     prog = ctx.programs[th.activity]
     steps: list[MicroStep] = []
     for nid in th.exec.strands:
@@ -504,12 +502,15 @@ def _do_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep
         elif nid not in th.waiting:
             items = (("node", nid), ("signals", "|".join(node.signals)))
             steps.append(_step(st, (th, nid), StepKind.REGISTER_ACCEPT, label, *items))
-        elif (occ := _backlog(st, node.signals)) is not None:
-            # a registered wait point drains the deferred pool, any time,
-            # also mid-RTC; FIFO within the pool
-            items = (("node", nid), ("occ", occ.brief()))
-            steps.append(_step(st, (th, nid, occ), StepKind.CONSUME_DEFERRED, label, *items))
     return _by_key(steps)
+
+
+def _consume_steps(ctx: ModelIndex, st: RuntimeState, th: DoThread) -> list[MicroStep]:
+    """Do thread `th`'s ConsumeDeferred steps in `st`: a registered wait point
+    drains the deferred pool, any time, also mid-RTC; FIFO within the pool."""
+    nodes, label = ctx.programs[th.activity].nodes, th.label()
+    return [_step(st, (th, nid, occ), StepKind.CONSUME_DEFERRED, label, ("node", nid), ("occ", occ.brief()))
+            for nid in th.exec.strands if nid in th.waiting and (occ := _backlog(st, nodes[nid].signals)) is not None]
 
 
 def _leg_steps(ctx: ModelIndex, st: RuntimeState, leg: LegThread) -> list[MicroStep]:
@@ -571,10 +572,9 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState, made: Optional[dict] = None
     `made` is the caller's per-walk table (see the module docstring); with
     one, each do or leg thread's step group, under the thread value, and a
     pending dispatch's option steps, under the `PendingDispatch` value, are
-    built once and rebound to `st` by `_group`. Without one, or for a do
-    thread with a registered wait point while the deferred pool is not
-    empty (its ConsumeDeferred step names an occurrence of this very pool,
-    which `apply` removes by identity), the group is built afresh."""
+    built once and rebound to `st` by `_group`. A do thread's ConsumeDeferred
+    steps name an occurrence of `st`'s deferred pool, which `apply` removes
+    by identity, so each call builds them and sorts them into its group."""
     # a pending dispatch decision is committed before anything else moves
     if st.pending is not None:
         return _group(_option_steps, ctx, st, st.pending, made)
@@ -582,7 +582,8 @@ def enabled_steps(ctx: ModelIndex, st: RuntimeState, made: Optional[dict] = None
     steps = []
     for th in st.threads:
         if isinstance(th, DoThread) and not th.finished:
-            steps += _group(_do_steps, ctx, st, th, None if th.waiting and st.deferred else made)
+            group = _group(_do_steps, ctx, st, th, made)
+            steps += _by_key(group + _consume_steps(ctx, st, th)) if th.waiting and st.deferred else group
     for th in st.threads:
         if isinstance(th, LegThread):
             steps += _group(_leg_steps, ctx, st, th, made)
@@ -707,7 +708,7 @@ def apply(
         # "discard": the occurrence is dropped
 
     elif step.kind in _THREAD_STEPS:
-        th, nid = (arg, None) if step.kind is StepKind.INIT_DO else arg
+        th, nid = arg
         if step.kind is StepKind.RUN_ACTION:
             st, obs = _exec_node(ctx, st, ctx.programs[th.activity], nid, th.state[:-1])
         key = (step.kind, th, nid)

@@ -23,13 +23,12 @@ forced injections) and their observables, one per distinct record list and
 shared by every edge that has it. `explore` hands `K.enabled_steps`,
 `K.apply` and `K.inject` one table for the walk (see the kernel's module
 docstring). In it each distinct thread's step group, each distinct do
-thread step's successor thread and each distinct record is built once,
-except the steps of a do thread with a registered wait point while the
-deferred pool is not empty, which are built afresh. So labels are looked up
-by their records' identities, and the memo key's `threads` component mostly
-reads the hashes its shared threads keep. These tables are local to the
-walk. `TraceSet.nodes` builds `Node` and `Edge` objects from the arrays on
-first read, for readers outside this module; no query reads it.
+thread step's successor thread and each distinct record is built once. So
+labels are looked up by their records' identities, and the memo key's
+`threads` component mostly reads the hashes its shared threads keep. These
+tables are local to the walk. `TraceSet.nodes` builds `Node` and `Edge`
+objects from the arrays on first read, for readers outside this module; no
+query reads it.
 
 A node's memo key packs small ints into one `bytes`: one id per compared
 `RuntimeState` field, then the scenario index and the depth. One table local

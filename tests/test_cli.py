@@ -61,6 +61,18 @@ def test_run_structured(capsys):
     assert all(o["ok"] for o in doc["expectations"])
 
 
+def test_run_renders_an_empty_emits_without_a_trailing_space(tmp_path, capsys):
+    model, scn = tmp_path / "m.psm", tmp_path / "s.scn"
+    model.write_text("machine m { signals a; }\n")
+    scn.write_text("scenario s { expect emits; }\n")
+    code, out, _ = invoke(capsys, "run", str(model), str(scn))
+    assert code == OK
+    assert "expect emits: pass" in out.splitlines()
+    code, out, _ = invoke(capsys, "run", str(model), str(scn), "--format", "structured")
+    assert code == OK
+    assert [(o["text"], o["ok"]) for o in json.loads(out)["expectations"]] == [("emits", True)]
+
+
 def test_run_random_strategy_seeded(capsys):
     code1, out1, _ = invoke(
         capsys, "run", fx("measurement.psm"), fx("measurement.scn"),

@@ -22,11 +22,12 @@ import pytest
 from conftest import FIXTURE_PAIRS, FIXTURES
 from hier_gen import gen_hier_machine, gen_hier_scenario
 from statebench.engine import kernel
-from statebench.engine.state import DoThread, RuntimeState
-from statebench.engine.steps import StepKind
+from statebench.engine.state import DoThread, LegThread, PendingDispatch, RuntimeState
+from statebench.engine.steps import MicroStep, StepKind
 from statebench.explorer import explore
 from statebench.parser import load_model, load_scenario, parse_model, parse_scenario
 from statebench.scenario import Inject
+from statebench.trace import Record
 
 
 def rebuilt(value):
@@ -201,17 +202,23 @@ def walk_threads(monkeypatch, m, scn) -> dict:
 @pytest.mark.parametrize("model_name,scn_name", FIXTURE_PAIRS)
 def test_a_walk_builds_each_successor_thread_once(model_name, scn_name, monkeypatch):
     m, scn = fixture_walk(model_name, scn_name)
+    built, do_steps = [], kernel._do_steps  # the do threads whose step group is built
+    monkeypatch.setattr(kernel, "_do_steps", lambda ctx, st, th: built.append(th) or do_steps(ctx, st, th))
     first = walk_threads(monkeypatch, m, scn)
     assert first  # every fixture machine runs a doActivity
     # within one walk, the steps of one thread at one node leave one shared thread
     for key, left in first.items():
         assert {id(th) for th in left} == {id(left[0])}, key
         check_value(left[0])
+    # and the step group of each distinct do thread is built once
+    assert built and len(built) == len(set(built))
     # the table dies with the walk: the next walk builds its threads anew
+    built.clear()
     again = walk_threads(monkeypatch, m, scn)
     assert again == first
     ids = {id(th) for left in first.values() for th in left}
     assert not ids & {id(th) for left in again.values() for th in left}
+    assert len(built) == len(set(built))
 
 
 def walks():
@@ -230,8 +237,10 @@ def test_the_walk_table_changes_no_step(m, scn, monkeypatch):
     enabled without a table gives without a table."""
     enabled, apply = kernel.enabled_steps, kernel.apply
     seen = {"nodes": 0, "edges": 0}
+    tables = {}
 
     def checking_enabled(ctx, st, made):
+        tables[id(made)] = made
         steps = enabled(ctx, st, made)
         assert [s.key() for s in steps] == [s.key() for s in enabled(ctx, st)]
         assert all(s.state is st for s in steps)
@@ -239,6 +248,7 @@ def test_the_walk_table_changes_no_step(m, scn, monkeypatch):
         return steps
 
     def checking_apply(ctx, st, step, made):
+        tables[id(made)] = made
         post, record = apply(ctx, st, step, made)
         (alone,) = [s for s in enabled(ctx, st) if s == step]
         assert (post, record) == apply(ctx, st, alone)
@@ -249,6 +259,15 @@ def test_the_walk_table_changes_no_step(m, scn, monkeypatch):
     monkeypatch.setattr(kernel, "apply", checking_apply)
     ts = explore(m, scn)
     assert seen == {"nodes": ts.stats.nodes, "edges": ts.stats.edges}
+    # the walk's one table: no kind of key can equal another kind
+    (made,) = tables.values()
+    for key, value in made.items():
+        if isinstance(key, (DoThread, LegThread, PendingDispatch)):
+            assert type(value) is list and all(type(s) is MicroStep for s in value), key
+        elif type(key) is tuple and len(key) == 3 and type(key[0]) is StepKind and type(key[1]) is DoThread:
+            assert type(value) is DoThread, key
+        else:
+            assert type(value) is Record, key
 
 
 # a doActivity parked at three accept nodes at once, one of them before a
