@@ -21,7 +21,7 @@ from typing import Optional, Protocol, Union
 
 from .. import model as M
 from .. import scenario as S
-from ..trace import Record, Trace
+from ..trace import Record, Trace, discards, enters
 from . import kernel as K
 from .kernel import ModelIndex
 from .state import RuntimeState, dotted
@@ -131,7 +131,6 @@ class RunResult:
     trace: Trace
     state: RuntimeState
     stable_points: tuple[StablePoint, ...] = ()
-    ever_active: frozenset[str] = frozenset()
     scenario_done: bool = True
 
     @property
@@ -172,12 +171,9 @@ def run(
     st = K.boot(ctx)
     records: list[Record] = []
     stable_points: list[StablePoint] = []
-    ever_active: set[str] = set()
     idx = 0
 
     while True:
-        for p, _ in st.active:
-            ever_active.add(dotted(p))
         if st.stable():
             point = StablePoint(st.config_text(), _pools_text(st))
             if not stable_points or stable_points[-1] != point:
@@ -205,7 +201,6 @@ def run(
         trace=trace,
         state=st,
         stable_points=tuple(stable_points),
-        ever_active=frozenset(ever_active),
         scenario_done=scenario is None or idx >= len(scenario.steps),
     )
 
@@ -221,26 +216,21 @@ class ExpectationOutcome:
 
 
 def evaluate_run(ctx: ModelIndex, scenario: S.Scenario, result: RunResult) -> list[ExpectationOutcome]:
-    """Judge a scenario's expectations against one concrete execution."""
+    """Judge a scenario's expectations against one concrete execution's records."""
     out = []
     for exp in scenario.expectations:
         if isinstance(exp, S.EventuallyActive):
-            path = ctx.model.state_refs[exp.state]
-            ok = dotted(path) in result.ever_active
-            detail = f"{dotted(path)} {'was' if ok else 'never'} active"
+            state = dotted(ctx.model.state_refs[exp.state])
+            ok = any(enters(r, state) for r in result.trace.records)
+            detail = f"{state} {'was' if ok else 'never'} active"
         elif isinstance(exp, S.Emits):
             got = result.observables
             ok = got == exp.signals
             detail = f"emitted {','.join(got) or 'nothing'}"
         else:
             assert isinstance(exp, S.NeverDiscards)
-            hits = [
-                r
-                for r in result.trace.records
-                if r.kind == "DiscardEvent"
-                and str(dict(r.payload).get("occ", "")).startswith(exp.signal + "#")
-            ]
+            hits = sum(discards(r, exp.signal + "#") for r in result.trace.records)
             ok = not hits
-            detail = "no discard" if ok else f"discarded {len(hits)}x"
+            detail = "no discard" if ok else f"discarded {hits}x"
         out.append(ExpectationOutcome(exp, ok, detail))
     return out

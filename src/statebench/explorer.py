@@ -42,12 +42,13 @@ let two states share a key now and then and lose the exact counts.
 
 Every query is an iterative pass, so no depth of the DAG can exhaust the
 interpreter's stack. `_below(hit)` gives each node the number of complete
-traces below it that take no edge whose label `hit` holds on (all of them
-without `hit`), in one pass in id order, judging `hit` once per label.
+traces below it that take no edge `hit` flags (all of them without `hit`),
+in one pass in id order, judging each label's records once.
 `total` is the root's count, the discard count is `total` less the root's
 count of paths with no discard, and the `eventually-active` and
-`never-discards` expectations are such flags (S becomes active exactly on
-an `EnterState` record whose `state` is S's dotted path). From these counts
+`never-discards` expectations are such flags: an edge is flagged when one of
+its records meets `trace.enters` or `trace.discards`, the record tests that
+`run`'s judge applies too. From these counts
 `_unrank(k, ...)` reads the k-th complete record path in canonical edge
 order (the order the kernel enabled them) with no search, as in counting
 generation (Flajolet, Zimmermann and Van Cutsem, 1994): at each node it
@@ -107,7 +108,7 @@ from .engine import kernel as K
 from .engine.driver import advance_scenario
 from .engine.kernel import ModelIndex
 from .engine.state import RuntimeState, dotted
-from .trace import Record, Trace
+from .trace import Record, Trace, discards, enters
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class ExpectationVerdict:
 if TYPE_CHECKING:  # aliases for annotations only
     Obs = tuple[tuple[str, str], ...]
     Label = tuple[tuple[Record, ...], Obs]  # an edge's records and their observables
-    Hit = Optional[Callable[[Label], bool]]  # a flag on edge labels
+    Hit = Optional[Callable[[Record], bool]]  # a flag on records, and on an edge that has one
     Paths = dict[Obs, dict[int, int]]  # obs -> class id -> paths
 
 
@@ -171,19 +172,6 @@ def _merge(into: Paths, paths: Paths, w: int) -> None:
         acc = into.setdefault(obs, {})
         for c, m in dests.items():
             acc[c] = acc.get(c, 0) + w * m
-
-
-def _discards(lab: Label, prefix: str = "") -> bool:
-    """Whether the edge discards an occurrence whose brief starts with `prefix`."""
-    return any(
-        r.kind == "DiscardEvent" and str(dict(r.payload).get("occ", "")).startswith(prefix)
-        for r in lab[0]
-    )
-
-
-def _enters(lab: Label, state: str) -> bool:
-    """Whether the edge makes the state with dotted path `state` active."""
-    return any(r.kind == "EnterState" and dict(r.payload).get("state") == state for r in lab[0])
 
 
 @dataclass(eq=False, repr=False)
@@ -221,12 +209,15 @@ class TraceSet:
 
     # -- the generic queries -------------------------------------------------
 
+    def _flagged(self, hit: Hit) -> bytes:
+        """Per label, 1 when `hit` holds on one of its records."""
+        return bytes(any(map(hit, recs)) for recs, _ in self.labels) if hit else bytes(len(self.labels))
+
     def _below(self, hit: Hit = None) -> list[int]:
         """Per node, the number of complete traces below it that take no edge
-        whose label `hit` holds on; ids are children first, so each child is
-        counted before its parents."""
-        first, child, label = self.first, self.child, self.label
-        bad = bytes(map(hit, self.labels)) if hit else bytes(len(self.labels))
+        `hit` flags; ids are children first, so each child is counted before
+        its parents."""
+        first, child, label, bad = self.first, self.child, self.label, self._flagged(hit)
         below: list[int] = []
         for nid, term in enumerate(self.terminal):  # a terminal node has no edges
             out = range(first[nid], first[nid + 1])
@@ -235,12 +226,11 @@ class TraceSet:
 
     def _unrank(self, k: int, hit: Hit = None, want: bool = False, avoid: Optional[list[int]] = None) -> tuple[Record, ...]:
         """The k-th complete record path, in canonical edge order, among those
-        on which `hit` holds on some edge exactly when `want`, where `avoid`
-        is `_below(hit)`; without `hit` every path avoids it."""
+        that take an edge `hit` flags exactly when `want`, where `avoid` is
+        `_below(hit)`; without `hit` every path avoids it."""
         first, child, label, labels, terminal = self.first, self.child, self.label, self.labels, self.terminal
-        every = self._every
+        every, bad = self._every, self._flagged(hit)
         avoid = every if hit is None else avoid
-        bad = bytes(map(hit, labels)) if hit else bytes(len(labels))
         nid, seen, path = self.root, False, list(self.root_records)
         while not terminal[nid]:
             for i in range(first[nid], first[nid + 1]):
@@ -436,12 +426,12 @@ class TraceSet:
             def first(ok: bool) -> Trace:  # the first observable class on that side
                 return next(self._class_witnesses((next(seq for seq in hit if hit[seq] == ok),)))
 
-        else:  # a flag: whether some edge of the path enters the state, or discards
+        else:  # a flag: whether some record of the path enters the state, or discards
             if isinstance(exp, S.EventuallyActive):  # at the root nothing is active yet
-                flag, good_if = partial(_enters, state=dotted(self.ctx.model.state_refs[exp.state])), True
+                flag, good_if = partial(enters, state=dotted(self.ctx.model.state_refs[exp.state])), True
             else:
                 assert isinstance(exp, S.NeverDiscards)
-                flag, good_if = partial(_discards, prefix=exp.signal + "#"), False
+                flag, good_if = partial(discards, prefix=exp.signal + "#"), False
             avoid = self._below(flag)
             good = self.total - avoid[self.root] if good_if else avoid[self.root]
 
@@ -557,5 +547,5 @@ def explore(
         stats.edges += 1
 
     result = TraceSet(ctx, scenario, bnd, first, child, label, terminal, labels, tuple(boot_records), stats)
-    stats.discard_traces = result.total - result._below(_discards)[result.root]
+    stats.discard_traces = result.total - result._below(discards)[result.root]
     return result

@@ -46,14 +46,10 @@ class Assignment:
     right: Optional[Union[str, int]] = None
 
     def text(self) -> str:
-        rhs = _term_text(self.left)
+        rhs = str(self.left)
         if self.op is not None:
-            rhs += f" {self.op} {_term_text(self.right)}"
+            rhs += f" {self.op} {self.right}"
         return f"{self.target} := {rhs}"
-
-
-def _term_text(term: Union[str, int, None]) -> str:
-    return str(term)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A scenario is a sequence of environment steps (inject a signal, or wait for
 the machine to settle) plus optional expectations checked over explored
-traces. Expectations are data here; the explorer owns their verdict logic.
+traces. Expectations are data here, judged on one run by `evaluate_run` and
+over every schedule by `TraceSet.check`, both through `trace`'s record tests.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ Two renderings:
 - structured: a single JSON document with a small header; byte-stable for a
   given trace (sorted keys, fixed separators), meant for tooling and replay.
 
+`enters` and `discards` are the record tests behind the flag expectations,
+stated once for `run`'s judge (`evaluate_run`) and the explorer alike.
+
 Replay scripts are just the sequence of step keys; a record's `step` field
 holds the exact key the scheduler chose, so any trace doubles as a script.
 """
@@ -129,6 +132,16 @@ def _record(i: int, r: dict) -> Record:
         obs=tuple(r["obs"]) if r["obs"] else None,
         step=r["step"],
     )
+
+
+def enters(r: Record, state: str) -> bool:
+    """Whether the record makes the state with dotted path `state` active."""
+    return r.kind == "EnterState" and dict(r.payload).get("state") == state
+
+
+def discards(r: Record, prefix: str = "") -> bool:
+    """Whether the record discards an occurrence whose brief starts with `prefix`."""
+    return r.kind == "DiscardEvent" and str(dict(r.payload).get("occ", "")).startswith(prefix)
 
 
 def first_divergence(a: Trace, b: Trace) -> Union[int, str, None]:

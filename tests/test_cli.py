@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -439,3 +440,27 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "statebench" in capsys.readouterr().out
+
+
+# --- the README's examples -----------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_examples():
+    """Each README code block that starts with a `$ statebench` command, by
+    subcommand: its arguments and the output lines it shows."""
+    blocks = [b.strip("\n").splitlines() for b in README.read_text(encoding="utf-8").split("```")[1::2]]
+    commands = [(shlex.split(b[0])[2:], b[1:]) for b in blocks if b and b[0].startswith("$ statebench ")]
+    return {argv[0]: (argv, shown) for argv, shown in commands}
+
+
+@pytest.mark.parametrize("command", ["run", "explore", "lint"])
+def test_readme_example_prints_what_it_shows(capsys, monkeypatch, command):
+    # the lint example abbreviates its explanation, so only its first line,
+    # the finding, is compared
+    argv, shown = readme_examples()[command]
+    monkeypatch.chdir(README.parent)
+    _, out, _ = invoke(capsys, *argv)
+    n = 1 if command == "lint" else None
+    assert out.splitlines()[:n] == shown[:n]

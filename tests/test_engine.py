@@ -107,6 +107,26 @@ def test_do_aborted_before_exit():
     assert abort < exit_
 
 
+def test_composite_exits_innermost_first():
+    """A substate's exit action runs while the composite's doActivity is
+    still live; that activity is aborted before the composite's own exit."""
+    m = parse(
+        "machine m { signals go, z; activity pAct { accept z; } activity sx { task u; }"
+        " activity px { task v; }"
+        " region main { initial -> P;"
+        " state P { do pAct; exit px; region r { initial -> S; state S { exit sx; } } }"
+        " state Q { } transition T1: P -> Q on go; } }"
+    )
+    result = run(m, parse_scenario("scenario s { inject go; }", m).scenario)
+    assert [
+        index_of(result, "RunExitAction", state="main.P.r.S"),
+        index_of(result, "ExitState", state="main.P.r.S"),
+        index_of(result, "AbortDoActivity", state="main.P", live="yes"),
+        index_of(result, "RunExitAction", state="main.P"),
+        index_of(result, "ExitState", state="main.P"),
+    ] == [8, 9, 10, 11, 12]
+
+
 def test_do_thread_records_interleave_with_leg(measurement, measurement_scenario):
     """The parent composite's doActivity keeps its own thread."""
     result = run(measurement, measurement_scenario)
@@ -224,6 +244,24 @@ def test_release_goes_ahead_of_fresh_pool_entries():
     dl = index_of(result, "DispatchEvent", occ="late#4")
     assert d1 < dl
     assert result.state.config_text() == "[main.E]"
+
+
+def test_completion_goes_ahead_of_a_released_occurrence():
+    """A release puts x#0 ahead of the regular pool, but the completion
+    event generated after it is still dispatched first."""
+    m = parse(
+        "machine m { signals x, go; region main { initial -> A;"
+        " state A { defer x; } state B { } state C { }"
+        " transition T1: A -> B on go; transition T2: B -> C; } }"
+    )
+    result = run(m, parse_scenario("scenario s { inject x; await-stable; inject go; }", m).scenario)
+    released = index_of(result, "ReleaseDeferred", released="x#0")
+    generated = index_of(result, "GenerateCompletion", occ="completion(main.B)#2")
+    dispatched = [
+        (i, dict(r.payload)["occ"]) for i, r in enumerate(result.trace.records) if r.kind == "DispatchEvent"
+    ]
+    assert (released, generated) == (8, 10)
+    assert dispatched[-2:] == [(11, "completion(main.B)#2"), (15, "x#0")]
 
 
 # --- self-signaling ---------------------------------------------------------------
@@ -407,13 +445,13 @@ def test_evaluate_run_reports_failures():
           expect eventually-active S2;
           expect emits progress;
           expect never-discards progress;
+          expect never-discards e1;
         }
         """,
         m,
     ).scenario
     result = run(m, scn)  # nothing consumes progress, so it gets discarded
-    outcomes = {type(o.expectation).__name__: o.ok for o in
-                evaluate_run(build_index(m), scn, result)}
-    assert outcomes["EventuallyActive"] is False
-    assert outcomes["Emits"] is True
-    assert outcomes["NeverDiscards"] is False
+    outcomes = [(type(o.expectation).__name__, o.ok) for o in evaluate_run(build_index(m), scn, result)]
+    assert outcomes == [
+        ("EventuallyActive", False), ("Emits", True), ("NeverDiscards", False), ("NeverDiscards", True),
+    ]

@@ -22,10 +22,11 @@ from flat_oracle import gen_flat_machine, gen_flat_scenario
 from hier_gen import TRIGGERS, features, gen_hier_machine, gen_hier_scenario, seeds_with
 from tree_oracle import schedules
 from statebench.engine import BudgetExceeded, build_index, evaluate_run, run
-from statebench.engine.state import RuntimeState
+from statebench.engine.state import RuntimeState, dotted
 from statebench.explorer import ExploreBounds, explore
 from statebench.parser import parse_model, parse_scenario
 from statebench.scenario import Emits, EventuallyActive, NeverDiscards
+from statebench.trace import enters
 
 
 def explored(name, scn_name=None, **kw):
@@ -128,10 +129,17 @@ def tree_verdicts(ctx, scn, complete, cut):
 def assert_walk_matches_the_tree(m, scn, bounds=ExploreBounds()):
     """`explore` against `tree_oracle`, which shares no code with it: counts,
     classes, leaf kinds, every verdict with its witness and counterexample,
-    and the untruncated `traces` in order. Returns the explorer's result."""
+    and the untruncated `traces` in order. `run` and `explore` judge a state
+    entered by the one record test `enters`, so that test is judged here
+    against the states the oracle saw active on every path. Returns the
+    explorer's result."""
     ctx = build_index(m)
     ts = explore(ctx, scn, bounds)
     leaves = list(schedules(ctx, scn, max_steps=bounds.max_micro_steps, max_pool=bounds.max_pool))
+    states = sorted({dotted(p) for p in m.state_refs.values()})
+    for leaf in leaves:
+        records = leaf.result.trace.records
+        assert [any(enters(r, s) for r in records) for s in states] == [s in leaf.active for s in states]
     kinds = {leaf.kind for leaf in leaves}
     complete = [leaf.result for leaf in leaves if leaf.kind == "complete"]
     assert ts.total == len(complete)
@@ -228,6 +236,13 @@ def assert_walk_matches_the_tree(m, scn, bounds=ExploreBounds()):
         "scenario s { inject a; expect never-discards a; expect emits; }",
         ["none", "all"],
         id="regionless-inject",
+    ),
+    # a discard of `ab` is no discard of `a`
+    pytest.param(
+        "machine m { signals a, ab; }",
+        "scenario s { inject ab; expect never-discards a; expect never-discards ab; }",
+        ["all", "none"],
+        id="regionless-inject-other",
     ),
 ])
 def test_walk_matches_the_tree(name, text, verdicts):

@@ -20,11 +20,12 @@ bound rule are written here again, from their statement in the README:
   scenario is done, and a deadlock when it is not.
 
 Each leaf carries its preorder number among the tree's nodes (the last
-leaf's, plus one, is the size of the tree) and a `RunResult`: the records,
-the final state and every state made active on the way, as `run` collects
-them, so `driver.evaluate_run`, the single-run judge, scores a leaf as it
-scores a run. Feasible for small models only: the tree has a path per
-schedule.
+leaf's, plus one, is the size of the tree), a `RunResult` of the records and
+the final state, so `driver.evaluate_run`, the single-run judge, scores a
+leaf as it scores a run, and `active`: the dotted path of every state made
+active on the way, read off the states along the path, not off the records,
+so that it judges the record test `trace.enters` independently. Feasible
+for small models only: the tree has a path per schedule.
 
     for leaf in schedules(ctx, scenario, max_steps=200, max_pool=64): ...
 """
@@ -47,6 +48,7 @@ class Leaf:
     kind: str                      # complete | deadlock | cut
     node: int                      # preorder number among the tree's nodes
     result: RunResult
+    active: frozenset[str]         # every state made active on the path
 
 
 def _points(scenario: Optional[S.Scenario]) -> list[tuple[str, ...]]:
@@ -101,7 +103,7 @@ def schedules(
                 finished = done == len(points)
                 kind = "cut" if steps else "complete" if finished else "deadlock"
                 trace = Trace(tuple(records), ctx.model.name, name, "tree")
-                yield Leaf(kind, visited, RunResult(trace, st, ever_active=active, scenario_done=finished))
+                yield Leaf(kind, visited, RunResult(trace, st, scenario_done=finished), active)
             visited += 1
         if not stack:
             return
